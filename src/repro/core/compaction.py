@@ -16,6 +16,13 @@ every DP entry point and the CLI can select them by name:
   executable specification and used by the tests to cross-check the
   vectorized kernel.
 
+Under the ``"numpy"`` kernel the sweep does not call :func:`compact` once
+per ``(I, i)`` candidate: :func:`compact_layer` handles a whole chunk of
+one DP layer at once.  It counts every candidate's new nodes without
+building its table, picks each subset's winner, and materializes only the
+winners — the same numbers :func:`compact` produces, at one numpy pass
+per bit position instead of one call per candidate.
+
 Correctness note on the paper's ``NODE`` membership test: the paper's
 pseudo code initializes ``NODE_(I\\i,i)`` with ``NODE_(I\\i)`` and tests
 ``(u, u0, u1) in NODE``.  Read literally this would merge a *new* node with
@@ -32,17 +39,29 @@ diagram can be emitted.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import reduce
+from operator import or_
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
-from .._bitops import insert_bit_indices, rank_in_mask
+from .._bitops import bits_of, insert_bit_indices, rank_in_mask
 from ..analysis.counters import OperationCounters
+from ..errors import OrderingError
+from .checkpoint import Skeleton
 from .engine import register_kernel
+from .executor import ChunkResult, Entry, materialize_entry
 from .spec import FSState, ReductionRule
 
 _KEY_SHIFT = 32
 _ID_LIMIT = 1 << _KEY_SHIFT
+# Key given to merged cells in the fused kernel: sorts after every live
+# ``u0 << 32 | u1`` key, so live keys keep their ranks.
+_MERGED_KEY = np.iinfo(np.int64).max
+# Cells per fused-kernel batch (128 KB per int64 array).
+_BATCH_CELLS = 1 << 14
 
 
 @register_kernel("numpy")
@@ -207,3 +226,303 @@ def compact_python(
         nodes=nodes,
         num_roots=state.num_roots,
     )
+
+
+# ----------------------------------------------------------------------
+# the fused layer kernel
+# ----------------------------------------------------------------------
+
+class _Candidates(NamedTuple):
+    """A chunk's ``(predecessor, variable)`` candidates, as columns."""
+
+    preds: List[Entry]
+    """Feasible predecessor entries; ``row`` indexes this list."""
+    pred_masks: List[int]
+    """Their relative masks."""
+    subset: np.ndarray
+    """Index of the candidate's subset in the chunk."""
+    var: np.ndarray
+    row: np.ndarray
+    position: np.ndarray
+    """Insert-bit position: the variable's rank among the predecessor's
+    free variables."""
+
+    def counted(self, retain_full: bool) -> np.ndarray:
+        """Which candidates the count pass sorts.  A subset's only
+        candidate wins whatever its cost, so when winners get tables its
+        count falls out of materialization instead."""
+        if not retain_full:
+            return np.ones(len(self.subset), dtype=bool)
+        return np.bincount(self.subset)[self.subset] > 1
+
+
+def _layer_candidates(masks: Sequence[int], previous: Any,
+                      base: FSState) -> _Candidates:
+    """Enumerate a chunk's candidates in the scalar loop's order: subsets
+    in chunk order, variables ascending.  Infeasible predecessors
+    (``previous.get`` is ``None``) yield no candidate."""
+    mask_arr = np.array(masks, dtype=np.int64)
+    variables = bits_of(reduce(or_, masks))
+    var_arr = np.array(variables, dtype=np.int64)
+    member = ((mask_arr[:, None] >> var_arr[None, :]) & 1).astype(bool)
+    cand_subset, column = np.nonzero(member)
+    cand_var = var_arr[column]
+    # A variable's position among the predecessor's free variables: the
+    # base's free variables below it, minus the subset's members below it.
+    free = base.free_mask
+    free_below = np.array(
+        [(free & ((1 << v) - 1)).bit_count() for v in variables],
+        dtype=np.int64,
+    )
+    members_below = np.cumsum(member, axis=1) - member
+    cand_pos = free_below[column] - members_below[cand_subset, column]
+    cand_pmask = mask_arr[cand_subset] ^ (np.int64(1) << cand_var)
+    rows: Dict[int, int] = {}
+    cand_row = np.array(
+        [rows.setdefault(p, len(rows)) for p in cand_pmask.tolist()],
+        dtype=np.int64,
+    )
+    pred_masks = list(rows)
+    preds = [previous.get(p) for p in pred_masks]
+    if any(entry is None for entry in preds):
+        # Infeasible predecessors under a subset filter.
+        feasible = np.array([entry is not None for entry in preds])
+        keep = feasible[cand_row]
+        cand_row = (np.cumsum(feasible) - 1)[cand_row[keep]]
+        cand_subset, cand_var = cand_subset[keep], cand_var[keep]
+        cand_pos = cand_pos[keep]
+        pred_masks = [p for p, e in zip(pred_masks, preds) if e is not None]
+        preds = [entry for entry in preds if entry is not None]
+    return _Candidates(preds, pred_masks, cand_subset, cand_var, cand_row,
+                       cand_pos)
+
+
+def _batches(count: int, width: int) -> List[slice]:
+    """Split ``count`` candidates of ``width`` cells into batches of at
+    most ``_BATCH_CELLS`` cells (at least one candidate each): tiny
+    layers then cost one sort, and big ones keep every transient array
+    small."""
+    step = max(1, _BATCH_CELLS // width)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _cofactor_keys(tables: np.ndarray, rows: np.ndarray,
+                   positions: np.ndarray, new_segment: int, num_roots: int,
+                   rule: ReductionRule):
+    """Gather the cofactor pairs of candidates ``(rows, positions)``
+    (positions ascending) and key them for dedup.
+
+    Returns ``(u0, merged, keys, complement)``, one row per candidate:
+    the raw 0-cofactors (what a merged cell keeps), the merge predicate,
+    the dedup keys ``u0 << 32 | u1`` after CBDD normalization
+    (``_MERGED_KEY`` on merged cells) and the CBDD output-complement bits
+    (``None`` otherwise).
+    """
+    change = np.flatnonzero(positions[1:] != positions[:-1]) + 1
+    starts = [0, *change.tolist(), len(positions)]
+    halves: Tuple[List[np.ndarray], List[np.ndarray]] = ([], [])
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        # Inserting a bit at ``position`` splits every root segment into
+        # blocks of 2**position cells, alternating x=0 and x=1: a strided
+        # view, so the gather needs no index arrays (it is what
+        # insert_bit_indices computes, per root segment).
+        low = 1 << int(positions[lo])
+        blocks = tables.reshape(len(tables), num_roots * new_segment // low,
+                                2, low)
+        for bit, half in enumerate(halves):
+            half.append(blocks[rows[lo:hi], :, bit, :].reshape(hi - lo, -1))
+    u0, u1 = (part[0] if len(part) == 1 else np.concatenate(part)
+              for part in halves)
+    merged = (u1 == 0) if rule is ReductionRule.ZDD else (u0 == u1)
+    complement = None
+    if rule is ReductionRule.CBDD:
+        complement = u1 & 1
+        keys = (u0 ^ complement).astype(np.int64) << _KEY_SHIFT
+        keys |= u1 ^ complement
+    else:
+        keys = u0.astype(np.int64) << _KEY_SHIFT
+        keys |= u1
+    keys[merged] = _MERGED_KEY
+    return u0, merged, keys, complement
+
+
+def _distinct_live(steps: np.ndarray, merged: np.ndarray) -> np.ndarray:
+    """Per row: distinct live keys, from the ``sorted[1:] != sorted[:-1]``
+    steps of the row-sorted keys (the merged cells' shared key is one
+    distinct value whenever a row has merged cells)."""
+    return 1 + steps.sum(axis=1) - merged.any(axis=1)
+
+
+def compact_layer(
+    masks: Sequence[int],
+    previous: Any,
+    base: FSState,
+    rule: ReductionRule,
+    retain_full: bool,
+    counters: OperationCounters,
+    should_stop: Optional[Callable[[], bool]] = None,
+) -> ChunkResult:
+    """Finalize one chunk of a DP layer with the fused numpy kernel.
+
+    ``masks`` are same-cardinality sub-masks of the swept universe
+    (relative to ``base``); ``previous`` is the finished previous layer,
+    read only through ``get``.  The result equals running :func:`compact`
+    on every ``(predecessor, variable)`` candidate and keeping, per
+    subset, the cheapest candidate with ties to the lowest variable —
+    entries, ``MINCOST``, ``best_last``, every ``Cost_i`` and every
+    :class:`~repro.analysis.counters.OperationCounters` tally, replay
+    extras included.  It gets there in three steps:
+
+    1. the predecessor tables are stacked into one ``tables[P, cells]``
+       matrix (mincost-only skeletons are replayed first);
+    2. candidates are sorted by insert-bit position; one strided 2-D
+       gather per position builds their ``u0 << 32 | u1`` keys, and a
+       row-wise sort plus an adjacent-difference count give each one's
+       ``created`` nodes — no table is built;
+    3. only each subset's winner gets a table, its node ids being
+       ``next_id`` plus the key's rank among the row's distinct live
+       keys (what ``np.unique(..., return_inverse=True)`` assigns).
+
+    Steps 2 and 3 run in batches of bounded size (:func:`_batches`).
+    Node structure is not tracked: callers run the per-candidate loop
+    when ``base.nodes`` is set.  ``should_stop`` is polled before each
+    batch of step 2 and once before step 3 (see :func:`fused_polls`); a
+    stopped chunk returns ``cancelled=True`` with no entries.
+    """
+    out = ChunkResult(counters=counters)
+    if not masks:
+        return out
+    cands = _layer_candidates(masks, previous, base)
+    preds = cands.preds
+
+    n, num_roots = base.n, base.num_roots
+    new_segment = 1 << (n - base.placed - int(masks[0]).bit_count())
+    width = num_roots * new_segment
+    pmincost = np.array([entry.mincost for entry in preds], dtype=np.int64)
+    next_id = base.num_terminals + int(pmincost.max(initial=0))
+    if next_id >= _ID_LIMIT:  # pragma: no cover - needs >2^32 nodes
+        raise OverflowError("node id space exhausted")
+    # Cells hold ids below next_id (edges below 2 * next_id under CBDD),
+    # so the stack is int32 — half the gather traffic — until they no
+    # longer fit.
+    cell_dtype = np.int32 if 2 * next_id < 2**31 else np.int64
+    tables = np.empty((len(preds), 2 * width), dtype=cell_dtype)
+    replay = OperationCounters()
+    uses = np.bincount(cands.row, minlength=len(preds)).tolist()
+    for row, entry in enumerate(preds):
+        if isinstance(entry, Skeleton):
+            # Each candidate reading a skeleton replays it on the scalar
+            # path; replay it once here and charge the same extras.
+            tally = OperationCounters()
+            entry = materialize_entry(base, entry, compact, rule, tally)
+            for key, amount in tally.extra.items():
+                replay.add_extra(key, amount * uses[row])
+        tables[row] = entry.table
+
+    def by_position(picked: np.ndarray) -> np.ndarray:
+        return picked[np.argsort(cands.position[picked], kind="stable")]
+
+    # Step 2: count every contested candidate's created nodes.
+    created = np.zeros(len(cands.row), dtype=np.int64)
+    counted = by_position(np.flatnonzero(cands.counted(retain_full)))
+    for batch in _batches(len(counted), width):
+        if should_stop is not None and should_stop():
+            out.cancelled = True
+            return out
+        sel = counted[batch]
+        _, merged, keys, _ = _cofactor_keys(
+            tables, cands.row[sel], cands.position[sel], new_segment,
+            num_roots, rule,
+        )
+        keys.sort(axis=1)
+        created[sel] = _distinct_live(keys[:, 1:] != keys[:, :-1], merged)
+
+    # Winners: lowest cost per subset, ties to the first (lowest)
+    # variable.  An uncounted candidate is alone in its subset.
+    order = np.lexsort((pmincost[cands.row] + created, cands.subset))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = cands.subset[order][1:] != cands.subset[order][:-1]
+    winners = order[first]
+    if len(winners) != len(masks):
+        won = set(cands.subset[winners].tolist())
+        missing = next(m for j, m in enumerate(masks) if j not in won)
+        raise OrderingError(f"no feasible chain reaches subset {missing:#x}")
+    if should_stop is not None and should_stop():
+        out.cancelled = True
+        return out
+
+    # Step 3: tables for the winners only.
+    tables_of: Dict[int, np.ndarray] = {}
+    if retain_full:
+        ranked_winners = by_position(winners)
+        for batch in _batches(len(ranked_winners), width):
+            sel = ranked_winners[batch]
+            rows = cands.row[sel]
+            u0, merged, keys, complement = _cofactor_keys(
+                tables, rows, cands.position[sel], new_segment, num_roots,
+                rule,
+            )
+            # A cell's id: its key's rank among the row's distinct keys.
+            at = np.arange(len(rows))[:, None]
+            by_key = keys.argsort(axis=1)
+            ranked = keys[at, by_key]
+            steps = ranked[:, 1:] != ranked[:, :-1]
+            created[sel] = _distinct_live(steps, merged)
+            rank = np.zeros(keys.shape, dtype=np.int64)
+            np.cumsum(steps, axis=1, out=rank[:, 1:])
+            block = np.empty_like(rank)
+            block[at, by_key] = rank
+            block += (base.num_terminals + pmincost[rows])[:, None]
+            if complement is not None:
+                block <<= 1
+                block |= complement
+            block[merged] = u0[merged]
+            tables_of.update(zip(sel.tolist(), block))
+
+    cost = pmincost[cands.row] + created
+    counters.compactions += len(cands.row)
+    counters.table_cells += len(cands.row) * width
+    counters.nodes_created += int(created.sum())
+    counters.subsets_processed += len(masks)
+    counters.merge(replay)
+
+    base_mask = base.mask
+    # One int object per predecessor mask, shared by its candidates' keys
+    # (as the scalar loop's ``prev_state.mask`` is): results hold these
+    # keys for every candidate of the sweep.
+    abs_masks = [base_mask | p for p in cands.pred_masks]
+    out.level_cost = dict(zip(
+        zip(map(abs_masks.__getitem__, cands.row.tolist()),
+            cands.var.tolist()),
+        created.tolist(),
+    ))
+    for mask, winner, var, row, total in zip(
+        masks, winners.tolist(), cands.var[winners].tolist(),
+        cands.row[winners].tolist(), cost[winners].tolist(),
+    ):
+        pi = preds[row].pi + (var,)
+        if retain_full:
+            out.entries[mask] = FSState(
+                n=n, mask=base_mask | mask, pi=pi, mincost=total,
+                table=tables_of[winner], num_terminals=base.num_terminals,
+                num_roots=num_roots,
+            )
+        else:
+            out.entries[mask] = Skeleton(pi=pi, mincost=total)
+        out.mincost[mask] = total
+        out.best_last[mask] = var
+    out.processed = len(masks)
+    return out
+
+
+def fused_polls(masks: Sequence[int], previous: Any, base: FSState,
+                retain_full: bool) -> int:
+    """How many times :func:`compact_layer` polls ``should_stop`` on this
+    chunk when it runs to completion: once per batch its count pass
+    sorts, plus once before materialization."""
+    if not masks:
+        return 0
+    counted = _layer_candidates(masks, previous, base).counted(retain_full)
+    width = base.num_roots << (
+        base.n - base.placed - int(masks[0]).bit_count())
+    return len(_batches(int(counted.sum()), width)) + 1

@@ -95,9 +95,7 @@ from .._bitops import bits_of
 from ..analysis.counters import OperationCounters
 from ..errors import ExecutorBrokenError, OrderingError
 from .checkpoint import RetryPolicy, Skeleton
-from .frontier import (
-    BaseOverlay, PackedFrontier, PackedSlice, batch_sweep_chunk,
-)
+from .frontier import BaseOverlay, PackedFrontier, PackedSlice
 from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
@@ -115,8 +113,7 @@ PreviousLayer = Any
 :class:`~repro.core.frontier.FrontierStore` (what the engine hands the
 backends), a plain ``mask -> entry`` dict (direct callers, tests), or a
 worker-side :class:`~repro.core.frontier.BaseOverlay`.  Chunk code only
-relies on ``.get(mask)``; the batch fast path additionally probes for the
-packed store's ``prev_data``/``batchable``."""
+relies on ``.get(mask)``."""
 
 # Flat per-entry overhead charged by the shipping-volume estimate (dict
 # slot + dataclass header); deliberately a round constant so the
@@ -148,13 +145,13 @@ class ChunkResult:
     """Position of the chunk within its layer's chunk list."""
 
     entries: Dict[int, Entry] = field(default_factory=dict)
-    """Finished entries keyed by mask (the scalar path's output).  Empty
-    when the chunk ran the packed batch path — see :attr:`packed`."""
+    """Finished entries keyed by mask.  Empty when a process worker
+    shipped them back packed — see :attr:`packed`."""
 
     packed: Optional[PackedSlice] = None
-    """Finished entries as contiguous packed columns (the batch path's
-    output; also how process workers ship results back without pickling
-    per-entry dataclasses).  ``entries`` and ``packed`` never overlap;
+    """Finished entries as contiguous packed columns: how process workers
+    under the packed frontier store ship results back without pickling
+    per-entry dataclasses.  ``entries`` and ``packed`` never overlap;
     the engine's store absorbs whichever is present."""
 
     mincost: Dict[int, int] = field(default_factory=dict)
@@ -180,6 +177,11 @@ def split_chunks(items: Sequence[int], jobs: int) -> List[Sequence[int]]:
     return [chunk for chunk in out if chunk]
 
 
+def _fused(kernel_name: Optional[str], base: FSState) -> bool:
+    """Whether a chunk runs the fused layer kernel (see :func:`sweep_chunk`)."""
+    return kernel_name == "numpy" and base.nodes is None
+
+
 def sweep_chunk(
     masks: Sequence[int],
     previous: PreviousLayer,
@@ -199,32 +201,24 @@ def sweep_chunk(
     through it, so where a chunk ran can never change what it computed.
 
     When ``kernel_name`` says the built-in ``numpy`` kernel is running
-    and ``previous`` is a batchable packed store, the chunk takes the
-    whole-layer batch path (:func:`repro.core.frontier.batch_sweep_chunk`)
-    — same arithmetic, same counters, no per-subset Python objects — and
-    returns its entries as a packed slice.  Every other combination runs
-    the scalar per-candidate loop below.
+    and node structure is not tracked, the chunk runs the fused layer
+    kernel (:func:`repro.core.compaction.compact_layer`) — same results,
+    same counters, one numpy pass per bit position instead of one kernel
+    call per candidate.  Every other combination (the ``python`` spec
+    kernel, custom kernels, node tracking) runs the scalar
+    per-candidate loop below.
 
     ``should_stop`` (the process workers' view of the mirrored
-    cancellation event) is polled between masks; a stopped chunk returns
-    with ``cancelled=True`` and whatever masks it had not reached simply
-    absent.
+    cancellation event) is polled between masks by the scalar loop and
+    between batches by the fused kernel; a stopped chunk returns with
+    ``cancelled=True`` and incomplete results.
     """
-    if kernel_name == "numpy":
-        batch = batch_sweep_chunk(
+    if _fused(kernel_name, base):
+        from .compaction import compact_layer  # compaction imports this module
+
+        return compact_layer(
             masks, previous, base, rule, retain_full, counters, should_stop
         )
-        if batch is not None:
-            store, mincost, best_last, level_cost, processed, cancelled = batch
-            return ChunkResult(
-                packed=store.to_slice() if len(store) else None,
-                mincost=mincost,
-                best_last=best_last,
-                level_cost=level_cost,
-                processed=processed,
-                counters=counters,
-                cancelled=cancelled,
-            )
     out = ChunkResult(counters=counters)
     for mask in masks:
         if should_stop is not None and should_stop():
@@ -655,7 +649,7 @@ class ChunkTask:
     kill_self: Optional[str] = None
     """Injected process-level fault (tests/CI only): ``"before"`` makes
     the executing worker SIGKILL itself as the task starts, ``"during"``
-    about halfway through the chunk's masks.  Set by the coordinator
+    about halfway through the chunk's work.  Set by the coordinator
     from :class:`~repro.core.checkpoint.FaultInjector.take_worker_kill`,
     which consumes the kill *before* shipping — the healed pool's
     re-submission of the same chunk carries ``None``."""
@@ -743,13 +737,13 @@ def _suicide_midway(
 ) -> Callable[[], bool]:
     """``should_stop`` wrapper realizing the ``"during"`` kill phase.
 
-    Both the scalar loop and the packed batch path poll ``should_stop``
-    once per mask, so counting polls places the SIGKILL about halfway
-    through the chunk's masks under either path — after real work has
-    been done and really lost, which is the point of the phase.  A
-    single-mask chunk has no halfway; there the kill fires on the first
-    poll (degenerating to ``"before"``) rather than silently not at
-    all."""
+    ``total`` is how many polls the chunk will make (one per mask on the
+    scalar loop; one per count batch plus one before materialization on
+    the fused kernel), so counting polls places the SIGKILL about
+    halfway through the chunk's work — after real work has been done and
+    really lost, which is the point of the phase.  A one-poll chunk has
+    no halfway; there the kill fires on the first poll (degenerating to
+    ``"before"``) rather than silently not at all."""
     seen = 0
     trigger = total // 2
 
@@ -772,8 +766,7 @@ def _run_chunk_task(task: ChunkTask) -> ChunkResult:
     _, _, base, kernel, rule = _worker_bind_sweep(task)
     previous: PreviousLayer
     if task.packed is not None:
-        # The base entry never ships; it lives in shm.  Overlaying it on
-        # the unpacked slice preserves the batch fast path worker-side.
+        # The base entry never ships; it lives in shm.
         previous = BaseOverlay(base, PackedFrontier.from_slice(task.packed))
     else:
         previous = dict(task.entries)
@@ -781,7 +774,14 @@ def _run_chunk_task(task: ChunkTask) -> ChunkResult:
     cancel = _WORKER_CANCEL
     should_stop = cancel.is_set if cancel is not None else None
     if task.kill_self == "during":
-        should_stop = _suicide_midway(len(task.masks), should_stop)
+        if _fused(task.kernel, base):
+            from .compaction import fused_polls
+
+            polls = fused_polls(task.masks, previous, base,
+                                task.retain_full)
+        else:
+            polls = len(task.masks)
+        should_stop = _suicide_midway(polls, should_stop)
     out = sweep_chunk(
         task.masks, previous, base, kernel, rule, task.retain_full,
         OperationCounters(),
@@ -789,6 +789,11 @@ def _run_chunk_task(task: ChunkTask) -> ChunkResult:
         kernel_name=task.kernel,
     )
     out.index = task.index
+    if task.packed is not None and out.entries and base.nodes is None:
+        # Packed in, packed out: ship the results as flat columns too.
+        store = PackedFrontier()
+        store.extend(out.entries)
+        out.packed, out.entries = store.to_slice(), {}
     return out
 
 

@@ -10,7 +10,6 @@ SIGINT/SIGTERM turn into cooperative cancellation at layer boundaries.
 
 import os
 import signal
-import threading
 
 import pytest
 
@@ -30,11 +29,26 @@ from repro.truth_table import TruthTable
 
 
 def fake_clock(step=0.5):
+    """A deterministic clock: every read advances it by ``step`` seconds."""
     ticks = [0.0]
 
     def clock():
         ticks[0] += step
         return ticks[0]
+
+    return clock
+
+
+def sigint_on_read(read):
+    """A frozen clock that delivers SIGINT to this process on its
+    ``read``-th read (and only then)."""
+    reads = [0]
+
+    def clock():
+        reads[0] += 1
+        if reads[0] == read:
+            os.kill(os.getpid(), signal.SIGINT)
+        return 0.0
 
     return clock
 
@@ -98,16 +112,22 @@ class TestFailureIsolation:
 
 class TestBatchGovernance:
     def test_per_item_timeout_fails_only_the_slow_item(self):
-        # A real (tiny) deadline: n=10 cannot finish in 50ms, n=3 can.
+        # A tiny deadline on a clock that advances 5ms per read: an n=3
+        # solve reads it ~7 times (35ms) and finishes, an n=10 solve
+        # crosses 50ms about halfway through its 10 layers.
         batch = [TruthTable.random(10, seed=1), TruthTable.random(3, seed=2)]
-        outcome = optimize_many(batch, per_item_timeout=0.05)
+        outcome = optimize_many(batch, per_item_timeout=0.05,
+                                budget=Budget(clock=fake_clock(0.005)))
         assert outcome.items[0].status == "error"
         assert outcome.items[0].error.error_type == "BudgetExceeded"
         assert outcome.items[1].status == "ok"
 
     def test_per_item_timeout_with_fallback_degrades_instead(self):
+        # The fs rung gets a third of the 50ms; at 1.5ms per clock read
+        # n=3 finishes inside it and n=10 does not.
         batch = [TruthTable.random(10, seed=1), TruthTable.random(3, seed=2)]
         outcome = optimize_many(batch, per_item_timeout=0.05,
+                                budget=Budget(clock=fake_clock(0.0015)),
                                 fallback="fs,window,sift")
         slow = outcome.items[0]
         assert slow.status == "fallback"
@@ -257,26 +277,23 @@ class TestDiskRetry:
 
 class TestBatchSignals:
     def test_sigint_cancels_batch_cooperatively(self):
-        # Deliver SIGINT from a timer while the batch runs; items then
-        # finish as BudgetExceeded(cancelled) errors, already-complete
-        # results are kept, and no traceback escapes.
+        # Deliver SIGINT while the batch runs; items then finish as
+        # BudgetExceeded(cancelled) errors, already-complete results are
+        # kept, and no traceback escapes.  The budget clock is read once
+        # when the batch arms and once as each item's sweep arms, so its
+        # third read — the signal — lands as the second item starts.
         before = signal.getsignal(signal.SIGINT)
         batch = (
             [TruthTable.random(3, seed=1)]
             + [TruthTable.random(10, seed=s) for s in range(2, 8)]
         )
-        timer = threading.Timer(
-            0.15, lambda: os.kill(os.getpid(), signal.SIGINT))
-        timer.start()
-        try:
-            outcome = optimize_many(batch, install_signal_handlers=True)
-        finally:
-            timer.cancel()
+        outcome = optimize_many(batch, install_signal_handlers=True,
+                                budget=Budget(clock=sigint_on_read(3)))
         assert signal.getsignal(signal.SIGINT) is before
         statuses = [item.status for item in outcome.items]
         assert len(statuses) == len(batch)
         # The tiny first item finishes before the signal; the n=10
-        # solves (hundreds of ms each) run into the cancellation.
+        # solves run into the cancellation.
         assert statuses[0] == "ok"
         assert "error" in statuses
         cancelled = [e for e in outcome.errors if "cancel" in e.message]

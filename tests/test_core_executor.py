@@ -18,6 +18,7 @@ import os
 import signal
 import threading
 import warnings
+from dataclasses import dataclass
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.core import (
     Budget,
     EngineConfig,
     ExecutorBackend,
+    FaultInjector,
     FrontierPolicy,
     ProcessBackend,
     SerialBackend,
@@ -276,6 +278,31 @@ class TestProcessBackendAcrossEntryPoints:
 # budget propagation across the process boundary
 # ----------------------------------------------------------------------
 
+def fake_clock(step=0.02):
+    """A deterministic clock: every read advances it by ``step`` seconds,
+    so a 50ms deadline trips after a few layer-boundary checks however
+    fast the sweep runs."""
+    ticks = [0.0]
+
+    def clock():
+        ticks[0] += step
+        return ticks[0]
+
+    return clock
+
+
+@dataclass
+class SigintAfterLayer(FaultInjector):
+    """Delivers SIGINT to this process once layer ``layer`` commits."""
+
+    layer: int = 1
+
+    def on_layer_committed(self, k, path):
+        super().on_layer_committed(k, path)
+        if k == self.layer:
+            os.kill(os.getpid(), signal.SIGINT)
+
+
 class TestProcessBudget:
     def test_deadline_aborts_at_committed_boundary(self, process_pool,
                                                    tmp_path):
@@ -283,7 +310,7 @@ class TestProcessBudget:
         with pytest.raises(BudgetExceeded) as info:
             run_fs(table, backend=process_pool, jobs=4,
                    checkpoint_dir=str(tmp_path / "ck"),
-                   budget=Budget(deadline=0.05))
+                   budget=Budget(deadline=0.05, clock=fake_clock()))
         exc = info.value
         assert exc.reason == "deadline"
         assert exc.layers_completed is not None and exc.layers_completed >= 0
@@ -310,15 +337,9 @@ class TestProcessBudget:
         with handle_signals(budget) as installed:
             if not installed:
                 pytest.skip("not on the main thread")
-            timer = threading.Timer(
-                0.3, os.kill, args=(os.getpid(), signal.SIGINT))
-            timer.start()
-            try:
-                with pytest.raises(BudgetExceeded) as info:
-                    run_fs(table, backend=process_pool, jobs=4,
-                           budget=budget)
-            finally:
-                timer.cancel()
+            with pytest.raises(BudgetExceeded) as info:
+                run_fs(table, backend=process_pool, jobs=4, budget=budget,
+                       fault_injector=SigintAfterLayer(layer=3))
         assert info.value.reason == "cancelled"
 
     def test_checkpoint_resume_bit_identical(self, process_pool, tmp_path):
@@ -327,7 +348,7 @@ class TestProcessBudget:
         with pytest.raises(BudgetExceeded):
             run_fs(table, counters=OperationCounters(),
                    backend=process_pool, jobs=4, checkpoint_dir=ckpt,
-                   budget=Budget(deadline=0.05))
+                   budget=Budget(deadline=0.05, clock=fake_clock()))
         clean = run_fs(table, counters=OperationCounters(), backend="serial")
         resumed_counters = OperationCounters()
         resumed = run_fs(table, counters=resumed_counters,

@@ -41,7 +41,6 @@ from repro.core.frontier import (
     _decode_cells,
     _encode_cells,
     _row_bytes,
-    batch_sweep_chunk,
 )
 from repro.core.spec import FSState, ReductionRule
 from repro.errors import BudgetExceeded
@@ -204,7 +203,6 @@ class TestPackedRoundTrip:
         nodes = {2: (0, 1, 0)}
         store.put(0b1, make_state(0b1, (0,), 1, [0, 1, 2, 2], nodes=nodes))
         assert store.get(0b1).nodes == nodes
-        assert store.batchable() is False
         assert store.ship_slice([0b1]) is None
         assert store.checkpoint_payload() is None
 
@@ -234,9 +232,7 @@ class TestPackedRoundTrip:
         view = BaseOverlay(base, inner)
         assert view.get(0) is base
         np.testing.assert_array_equal(view.get(0b1).table, np.arange(32))
-        table, mincost, pi, mask = view.prev_data(0)
-        assert mincost == 0 and pi == () and mask == 0
-        assert view.prev_data(0b10) is None
+        assert view.get(0b10) is None
 
 
 class TestCodec:
@@ -402,45 +398,58 @@ class TestParityMatrix:
 
 
 # ----------------------------------------------------------------------
-# batch kernel guard rails
+# fused layer kernel guard rails
 # ----------------------------------------------------------------------
 
-class TestBatchKernel:
-    def test_declines_non_batchable_previous(self):
-        base = make_state(0, (), 0, list(range(8)))
-        assert batch_sweep_chunk(
-            [0b1], {0: base}, base, ReductionRule.BDD, True,
-            OperationCounters(),
-        ) is None
+def spy_on_compact_layer(monkeypatch):
+    """Record every chunk the fused layer kernel finalizes."""
+    from repro.core import compaction as compaction_module
 
-    def test_declines_node_tracking(self):
-        base = make_state(0, (), 0, list(range(8)),
-                          nodes={2: (0, 1, 0)})
-        prev = PackedFrontier()
-        assert batch_sweep_chunk(
-            [0b1], BaseOverlay(base, prev), base, ReductionRule.BDD, True,
-            OperationCounters(),
-        ) is None
+    calls = []
+    original = compaction_module.compact_layer
 
-    def test_python_kernel_never_uses_batch_path(self, monkeypatch):
-        # The batch path restates the numpy compact(); the python kernel
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(compaction_module, "compact_layer", spy)
+    return calls
+
+
+class TestFusedLayerKernel:
+    def test_declines_node_tracking(self, monkeypatch):
+        # Node structure is only built by the per-candidate loop.
+        from repro.core import initial_state
+        from repro.core.engine import run_layered_sweep
+
+        table = TruthTable.random(4, seed=2)
+        want = run_fs(table).mincost
+        calls = spy_on_compact_layer(monkeypatch)
+        for store in ("dict", "packed"):
+            outcome = run_layered_sweep(
+                initial_state(table, track_nodes=True), 0b1111,
+                config=EngineConfig(frontier_store=store),
+            )
+            assert calls == []
+            (state,) = outcome.frontier.values()
+            assert state.nodes is not None
+            assert state.mincost == want
+
+    def test_python_kernel_never_uses_fused_path(self, monkeypatch):
+        # The fused path restates the numpy compact(); the python kernel
         # must keep running its executable-specification scalar loop.
-        calls = []
-        original = frontier_module.batch_sweep_chunk
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        import repro.core.executor as executor_module
-
-        monkeypatch.setattr(executor_module, "batch_sweep_chunk", spy)
-        run_fs(TruthTable.random(4, seed=2), engine="python",
-               frontier_store="packed")
+        calls = spy_on_compact_layer(monkeypatch)
+        for store in ("dict", "packed"):
+            run_fs(TruthTable.random(4, seed=2), engine="python",
+                   frontier_store=store)
         assert calls == []
+
+    @pytest.mark.parametrize("store", ["dict", "packed"])
+    def test_numpy_kernel_takes_fused_path(self, monkeypatch, store):
+        calls = spy_on_compact_layer(monkeypatch)
         run_fs(TruthTable.random(4, seed=2), engine="numpy",
-               frontier_store="packed")
-        assert calls != []
+               frontier_store=store)
+        assert len(calls) == 4  # one chunk per layer at jobs=1
 
 
 # ----------------------------------------------------------------------

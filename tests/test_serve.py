@@ -377,7 +377,9 @@ class TestSigtermDrain:
                 proc.wait()
 
     def test_requests_after_sigterm_get_503(self):
-        slow = TruthTable.random(12, seed=81)
+        # The solve must still be in flight 0.5s after it is sent; n=15
+        # takes several seconds on the numpy kernel.
+        slow = TruthTable.random(15, seed=81)
         proc, address = self._spawn()
         try:
             sock = socket.create_connection(address, timeout=300)
