@@ -25,6 +25,10 @@ with ``alpha_{k+1} = 1`` and::
 Because ``g`` is linear in its second argument, fixing ``(alpha_1,
 alpha_2)`` determines ``alpha_3, ..., alpha_{k+1}`` by forward chaining;
 the system reduces to two equations in two unknowns, solved with scipy.
+scipy is imported inside the solvers, not at module level: ``import
+repro`` pulls this module in, and every CLI run, daemon and process-pool
+worker would otherwise pay scipy's import time for numbers it never asks
+for.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-from scipy import optimize
 
 from .entropy import binary_entropy as H
 
@@ -73,6 +75,7 @@ def gamma1() -> Tuple[float, float]:
     Solves ``(1-a) + H(a) = H(a)/2 + (1-a) log2 3``.  Paper:
     ``alpha* = 0.274863``, ``gamma_1 <= 2.97625``.
     """
+    from scipy import optimize
 
     def balance(a: float) -> float:
         return (1.0 - a) + H(a) - (0.5 * H(a) + (1.0 - a) * LOG2_3)
@@ -87,6 +90,7 @@ def gamma2_appendix_b() -> Tuple[float, float, float]:
     Solves Eqs. (20)-(21).  Paper: ``alpha_1* = 0.192755``,
     ``alpha_2* = 0.334571``, ``gamma_2 = 2.8569``.
     """
+    from scipy import optimize
 
     def equations(a: Sequence[float]) -> List[float]:
         a1, a2 = a
@@ -166,6 +170,8 @@ def solve_parameters(
     (``3`` for classical FS*, reproducing Table 1; a previous beta for the
     Table 2 iteration).
     """
+    from scipy import optimize
+
     if k < 1:
         raise ValueError("k must be at least 1")
     gamma = gamma_subroutine

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Any, Iterator, Optional
 
 from .analysis.parameters import gamma0, gamma1, gamma2_appendix_b, solve_table1, solve_table2
 from .bdd.reorder import greedy_append, random_restart_search
@@ -29,8 +30,8 @@ from .portfolio import sift_search, window_permutation_search
 from .core.astar import astar_optimal_ordering
 from .core.bruteforce import brute_force_optimal
 from .core.divide_conquer import opt_obdd
-from .core.engine import available_kernels
-from .core.executor import available_backends
+from .core.engine import EngineConfig, available_kernels
+from .core.executor import available_backends, shared_backend
 from .core.frontier import available_frontier_stores
 from .core.fs import run_fs
 from .observability import Profiler
@@ -109,10 +110,30 @@ def _make_io_retry(args: argparse.Namespace):
     return RetryPolicy(max_retries=max_retries)
 
 
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """Execution options shared by every DP-running subcommand."""
-    kwargs = dict(engine=args.engine, jobs=args.jobs,
-                  backend=getattr(args, "backend", "thread"),
+@contextmanager
+def _command_backend(args: argparse.Namespace) -> Iterator[Any]:
+    """One live execution backend for a command that runs several sweeps.
+
+    A backend *name* makes every sweep create and close its own backend,
+    which under ``--backend process`` spawns one worker pool per sweep.
+    Commands that run several sweeps resolve the name once here, the way
+    a window sweep does, and hand the instance to every sweep; it is
+    closed when the block exits, cleanly or by an exception.
+    """
+    config = EngineConfig(
+        backend=getattr(args, "backend", "thread"),
+        max_pool_rebuilds=getattr(args, "max_pool_rebuilds", None),
+    )
+    with shared_backend(config) as pinned:
+        yield pinned.backend
+
+
+def _engine_kwargs(args: argparse.Namespace, backend: Any = None) -> dict:
+    """Execution options shared by every DP-running subcommand
+    (``backend`` overrides ``--backend`` with a live instance)."""
+    if backend is None:
+        backend = getattr(args, "backend", "thread")
+    kwargs = dict(engine=args.engine, jobs=args.jobs, backend=backend,
                   frontier_store=getattr(args, "frontier_store", "dict"))
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     resume = bool(getattr(args, "resume", False))
@@ -320,20 +341,23 @@ def _run_optimize_shared(args: argparse.Namespace) -> int:
             f"{tables[0].n} variables is beyond the exact DP's practical range"
         )
     profiler = _make_profiler(args)
-    engine_kwargs = _engine_kwargs(args)
-    result = run_fs_shared(tables, rule=rule, profiler=profiler,
-                           **engine_kwargs)
-    print(f"outputs          : {len(tables)} ({' '.join(labels)})")
-    print(f"variables        : {tables[0].n}")
-    print(f"rule             : {rule.value}")
-    print(f"shared ordering  : {' '.join(f'x{v}' for v in result.order)}")
-    print(f"shared nodes     : {result.mincost}")
-    if getattr(result, "from_cache", False):
-        print("served from      : result cache")
-    separate = sum(
-        _run_fs(t, rule=rule, **engine_kwargs).mincost
-        for t in tables
-    )
+    # The shared sweep and one sweep per output share one pool.
+    with _command_backend(args) as backend:
+        engine_kwargs = _engine_kwargs(args, backend)
+        result = run_fs_shared(tables, rule=rule, profiler=profiler,
+                               **engine_kwargs)
+        print(f"outputs          : {len(tables)} ({' '.join(labels)})")
+        print(f"variables        : {tables[0].n}")
+        print(f"rule             : {rule.value}")
+        print(f"shared ordering  : "
+              f"{' '.join(f'x{v}' for v in result.order)}")
+        print(f"shared nodes     : {result.mincost}")
+        if getattr(result, "from_cache", False):
+            print("served from      : result cache")
+        separate = sum(
+            _run_fs(t, rule=rule, **engine_kwargs).mincost
+            for t in tables
+        )
     print(f"separate optima  : {separate} (sum over outputs)")
     _emit_profile(args, profiler, engine_kwargs.get("cache"))
     return 0
@@ -583,13 +607,13 @@ def _run_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _governed_exact(table, args, profiler, rule=None):
+def _governed_exact(table, args, profiler, rule=None, backend=None):
     """Run the exact DP, or the --fallback ladder when requested.
 
     Returns an object with ``order``/``size`` plus an ``exact`` verdict
     (always True without --fallback) and the producing ``rung``.
     """
-    engine_kwargs = _engine_kwargs(args)
+    engine_kwargs = _engine_kwargs(args, backend)
     fallback_spec = getattr(args, "fallback", None)
     kwargs = {} if rule is None else {"rule": rule}
     if fallback_spec is None:
@@ -603,7 +627,7 @@ def _governed_exact(table, args, profiler, rule=None):
         ladder=parse_ladder(fallback_spec),
         engine=args.engine,
         jobs=args.jobs,
-        backend=getattr(args, "backend", "thread"),
+        backend=engine_kwargs["backend"],
         cache=engine_kwargs.get("cache"),
         profiler=profiler,
         checkpoint_dir=engine_kwargs.get("checkpoint_dir"),
@@ -617,15 +641,19 @@ def _governed_exact(table, args, profiler, rule=None):
 def _run_gap(args: argparse.Namespace) -> int:
     profiler = _make_profiler(args)
     print("pairs  vars  good(2n+2)  bad(2^(n+1))  optimal")
-    for pairs in range(1, args.max_pairs + 1):
-        table = achilles_heel(pairs)
-        good = obdd_size(table, achilles_good_order(pairs))
-        bad = obdd_size(table, achilles_bad_order(pairs))
-        result, exact, _ = _governed_exact(table, args, profiler)
-        # '~' marks an upper bound from a fallback rung, not the optimum.
-        opt_text = f"{result.size}" if exact else f"{result.size}~"
-        print(f"{pairs:5d}  {2 * pairs:4d}  {good:10d}  {bad:12d}  "
-              f"{opt_text:>7}")
+    with _command_backend(args) as backend:
+        for pairs in range(1, args.max_pairs + 1):
+            table = achilles_heel(pairs)
+            good = obdd_size(table, achilles_good_order(pairs))
+            bad = obdd_size(table, achilles_bad_order(pairs))
+            result, exact, _ = _governed_exact(
+                table, args, profiler, backend=backend
+            )
+            # '~' marks an upper bound from a fallback rung, not the
+            # optimum.
+            opt_text = f"{result.size}" if exact else f"{result.size}~"
+            print(f"{pairs:5d}  {2 * pairs:4d}  {good:10d}  {bad:12d}  "
+                  f"{opt_text:>7}")
     _emit_profile(args, profiler)
     return 0
 

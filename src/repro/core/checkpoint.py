@@ -23,9 +23,17 @@ Design points:
   filename, so many sweeps (a window sweep runs dozens of FS* solves) can
   share one checkpoint directory without clobbering each other, and a
   resume only ever considers files written by an identical sweep.
-* **Atomic writes.**  Files are written to a temp name and
-  ``os.replace``-d into place, so a crash mid-write leaves the previous
-  checkpoint intact (the torn temp file is ignored by the loader).
+* **Atomic writes.**  Files are written to a unique temp name in the
+  same directory and ``os.replace``-d into place, so a crash mid-write
+  leaves the previous checkpoint intact (the torn temp file is ignored
+  by the loader), and two writers of one path never share a temp inode.
+* **Columnar DP maps.**  The cumulative ``mincost_by_subset``,
+  ``best_last`` and ``level_cost_by_choice`` maps travel as sorted
+  base64 little-endian integer columns (each at the narrowest of int8
+  to int64 that holds it), not as nested JSON lists, so a layer's file
+  costs one C-level encode of a few strings.  Format 2
+  introduced them; the format is part of the fingerprint, so format-1
+  files hash to other names and are never resumed.
 * **Exact counter restoration.**  Each checkpoint stores the sweep's
   *delta* of :class:`~repro.analysis.counters.OperationCounters` since
   the sweep started.  Because the sweep is deterministic, restoring the
@@ -48,8 +56,10 @@ import hashlib
 import json
 import os
 import re
+import secrets
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -58,7 +68,7 @@ from ..analysis.counters import OperationCounters
 from ..errors import CheckpointError
 from .spec import FSState
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _COUNTER_FIELDS = (
     "table_cells",
@@ -80,20 +90,33 @@ def write_checked_json(path: str, payload: Dict[str, Any]) -> str:
     The document layout (``format``/``checksum``/``payload``) is the one
     every durable artifact of this package uses: sweep checkpoints and
     result-cache entries alike.  The payload checksum is computed over the
-    canonical (sorted, separator-free) JSON encoding, and the file lands
-    via a temp-name ``os.replace`` so a crash mid-write never leaves a
-    torn file under the real name.
+    canonical (sorted, separator-free) JSON encoding, and that same string
+    is embedded as the envelope's payload, so the payload is encoded once.
+    The file lands via ``os.replace`` from a temp file unique to this
+    write, so a crash mid-write never leaves a torn file under the real
+    name and concurrent writers of one path never interleave.
     """
     payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    document = {
-        "format": FORMAT_VERSION,
-        "checksum": hashlib.sha256(payload_json.encode()).hexdigest(),
-        "payload": payload,
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(document, handle, sort_keys=True)
-    os.replace(tmp, path)
+    checksum = hashlib.sha256(payload_json.encode()).hexdigest()
+    document = (
+        f'{{"checksum":"{checksum}","format":{FORMAT_VERSION},'
+        f'"payload":{payload_json}}}'
+    )
+    # A random exclusive-create name per write: mkstemp's recipe, but
+    # with the umask-governed mode a plain open() gives rather than
+    # 0600, so shared cache directories stay readable.
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(document)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return path
 
 
@@ -442,6 +465,74 @@ def _decode_entry(
     )
 
 
+_MAP_DTYPES = ("<i1", "<i2", "<i4", "<i8")
+
+
+def _narrowest_dtype(column: np.ndarray) -> str:
+    """Smallest signed little-endian integer dtype holding ``column``."""
+    if column.size == 0:
+        return _MAP_DTYPES[0]
+    lo, hi = int(column.min()), int(column.max())
+    for dtype in _MAP_DTYPES[:-1]:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return dtype
+    return _MAP_DTYPES[-1]
+
+
+def _encode_map(mapping: Dict[Any, int], key_width: int) -> Dict[str, Any]:
+    """A DP map as base64 integer columns sorted by key: one column per
+    key component (``key_width`` of them), then the values.  Each column
+    is stored at the narrowest signed little-endian width that holds it
+    (int64 at most), so the file is no larger than the JSON lists were."""
+    count = len(mapping)
+    flat_keys = chain.from_iterable(mapping) if key_width > 1 else mapping
+    keys = np.fromiter(
+        flat_keys, dtype=np.int64, count=count * key_width
+    ).reshape(count, key_width)
+    values = np.fromiter(mapping.values(), dtype=np.int64, count=count)
+    order = np.lexsort(keys.T[::-1])
+    columns = [column[order] for column in (*keys.T, values)]
+    dtypes = [_narrowest_dtype(column) for column in columns]
+    return {
+        "count": count,
+        "dtypes": dtypes,
+        "columns": [
+            base64.b64encode(column.astype(dtype).tobytes()).decode("ascii")
+            for column, dtype in zip(columns, dtypes)
+        ],
+    }
+
+
+def _decode_map(
+    blob: Dict[str, Any], key_width: int, name: str
+) -> Dict[Any, int]:
+    """Inverse of :func:`_encode_map`; ``ValueError`` on a malformed
+    column (the loader turns it into a :class:`CheckpointError`)."""
+    count = int(blob["count"])
+    texts, dtypes = blob["columns"], blob["dtypes"]
+    if len(texts) != key_width + 1 or len(dtypes) != key_width + 1:
+        raise ValueError(
+            f"{name} has {len(texts)} columns and {len(dtypes)} dtypes, "
+            f"expected {key_width + 1}"
+        )
+    columns = []
+    for text, dtype in zip(texts, dtypes):
+        if dtype not in _MAP_DTYPES:
+            raise ValueError(f"{name} column has unknown dtype {dtype!r}")
+        raw = base64.b64decode(text, validate=True)
+        if len(raw) != np.dtype(dtype).itemsize * count:
+            raise ValueError(
+                f"{name} column holds {len(raw)} bytes, expected "
+                f"{count} {dtype} values"
+            )
+        columns.append(np.frombuffer(raw, dtype=dtype).tolist())
+    *keys, values = columns
+    if key_width == 1:
+        return dict(zip(keys[0], values))
+    return dict(zip(zip(*keys), values))
+
+
 def counters_from_snapshot(snapshot: Dict[str, int]) -> OperationCounters:
     """Rebuild an :class:`OperationCounters` from a plain-dict snapshot
     (the inverse of ``OperationCounters.snapshot`` / ``diff``)."""
@@ -541,12 +632,9 @@ class CheckpointStore:
         payload = {
             "fingerprint": self.fingerprint,
             "layer": k,
-            "mincost_by_subset": sorted(mincost_by_subset.items()),
-            "best_last": sorted(best_last.items()),
-            "level_cost_by_choice": [
-                [list(key), cost]
-                for key, cost in sorted(level_cost_by_choice.items())
-            ],
+            "mincost_by_subset": _encode_map(mincost_by_subset, 1),
+            "best_last": _encode_map(best_last, 1),
+            "level_cost_by_choice": _encode_map(level_cost_by_choice, 2),
             "subsets_processed": subsets_processed,
             "counter_delta": dict(sorted(counter_delta.items())),
         }
@@ -615,18 +703,14 @@ class CheckpointStore:
             restored = RestoredSweep(
                 layer=int(payload["layer"]),
                 entries=entries,
-                mincost_by_subset={
-                    int(mask): int(cost)
-                    for mask, cost in payload["mincost_by_subset"]
-                },
-                best_last={
-                    int(mask): int(var)
-                    for mask, var in payload["best_last"]
-                },
-                level_cost_by_choice={
-                    (int(key[0]), int(key[1])): int(cost)
-                    for key, cost in payload["level_cost_by_choice"]
-                },
+                mincost_by_subset=_decode_map(
+                    payload["mincost_by_subset"], 1, "mincost_by_subset"
+                ),
+                best_last=_decode_map(payload["best_last"], 1, "best_last"),
+                level_cost_by_choice=_decode_map(
+                    payload["level_cost_by_choice"], 2,
+                    "level_cost_by_choice",
+                ),
                 subsets_processed=int(payload["subsets_processed"]),
                 counter_delta=counters_from_snapshot(
                     payload["counter_delta"]

@@ -13,11 +13,14 @@ order unless an explicit ``labels`` mapping is given.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple,
+)
 
 from ..errors import DimensionError
+
+if TYPE_CHECKING:  # annotations only: ``import repro`` must not load networkx
+    import networkx as nx
 
 
 def _vertex_index(graph: nx.Graph) -> Dict[Hashable, int]:

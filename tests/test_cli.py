@@ -179,6 +179,82 @@ class TestSharedOptimize:
         assert code == 2 and "requires" in err
 
 
+class TestOnePoolPerCommand:
+    """Commands that run several sweeps (``--all-outputs``: the shared
+    sweep plus one per output; ``gap``: one per family size) share one
+    worker pool under ``--backend process``, closed however the command
+    ends."""
+
+    PLA = (".i 6\n.o 2\n11---- 10\n--11-- 11\n----11 01\n"
+           "1-0-1- 10\n-1-0-1 01\n.e\n")
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+        import multiprocessing
+
+        built = []
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SpyPool)
+        before = set(multiprocessing.active_children())
+        yield built
+        # Every pool was shut down and reaped its workers.
+        assert all(pool._shutdown_thread for pool in built)
+        assert set(multiprocessing.active_children()) <= before
+
+    @staticmethod
+    def _result_lines(out):
+        return [line for line in out.splitlines()
+                if line.startswith(("shared", "separate"))]
+
+    def test_all_outputs_builds_one_pool(self, run, tmp_path, pools):
+        path = tmp_path / "f.pla"
+        path.write_text(self.PLA)
+        code, serial, _ = run("optimize", "--pla", str(path),
+                              "--all-outputs", "--backend", "serial")
+        assert code == 0 and pools == []
+        code, out, _ = run("optimize", "--pla", str(path), "--all-outputs",
+                           "--backend", "process", "--jobs", "2")
+        assert code == 0
+        assert len(pools) == 1
+        assert self._result_lines(out) == self._result_lines(serial)
+        assert len(self._result_lines(out)) == 3
+
+    def test_gap_builds_one_pool(self, run, pools):
+        code, serial, _ = run("gap", "--max-pairs", "3",
+                              "--backend", "serial")
+        assert code == 0
+        code, out, _ = run("gap", "--max-pairs", "3",
+                           "--backend", "process", "--jobs", "2")
+        assert code == 0
+        assert len(pools) == 1
+        assert out == serial
+
+    def test_pool_is_closed_on_error_exit(self, run, tmp_path, pools,
+                                          monkeypatch):
+        import repro.core.fs
+        from repro.errors import ReproError
+
+        def failing_run_fs(*args, **kwargs):
+            raise ReproError("separate sweep failed")
+
+        monkeypatch.setattr(repro.core.fs, "run_fs", failing_run_fs)
+        path = tmp_path / "f.pla"
+        path.write_text(self.PLA)
+        code, out, err = run("optimize", "--pla", str(path),
+                             "--all-outputs", "--backend", "process",
+                             "--jobs", "2")
+        assert code == 2 and "separate sweep failed" in err
+        assert "shared nodes" in out
+        assert len(pools) == 1
+
+
 class TestReproduce:
     def test_quick_reproduction_passes(self, run):
         code, out, _ = run("reproduce", "--quick")

@@ -10,10 +10,14 @@ checkpoint must raise :class:`~repro.errors.CheckpointError` naming the
 offending file, never resume silently.
 """
 
+import hashlib
 import json
 import shutil
+import threading
 
 import pytest
+
+import repro.core.checkpoint as checkpoint_module
 
 from repro.analysis.counters import OperationCounters
 from repro.core import (
@@ -30,7 +34,14 @@ from repro.core import (
     sweep_fingerprint,
     window_sweep,
 )
+from repro.core.checkpoint import (
+    FORMAT_VERSION,
+    fingerprint_hash,
+    read_checked_json,
+    write_checked_json,
+)
 from repro.core.compaction import compact
+from repro.core.shared import initial_state_shared
 from repro.core.spec import ReductionRule
 from repro.errors import CheckpointError
 from repro.observability import Profiler
@@ -402,3 +413,210 @@ class TestStoreRoundTrip:
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         _, directory, _ = _checkpointed_run(tmp_path)
         assert list(directory.glob("*.tmp")) == []
+
+
+# ----------------------------------------------------------------------
+# format 2: columnar DP maps, envelope compatibility, concurrent writers
+# ----------------------------------------------------------------------
+
+def _shared_store(tables, directory):
+    base = initial_state_shared(tables, ReductionRule.BDD)
+    full = (1 << tables[0].n) - 1
+    return CheckpointStore(
+        str(directory),
+        sweep_fingerprint(base, full, "bdd", tables[0].n, "numpy", "full"),
+    )
+
+
+def _rewrite_payload(path, mutate):
+    """Re-save a checkpoint with ``mutate(payload)`` applied and a valid
+    checksum, so only the codec (not the envelope) can object."""
+    payload = read_checked_json(str(path))
+    mutate(payload)
+    write_checked_json(str(path), payload)
+
+
+class TestColumnarCodec:
+    TABLES = [TruthTable.random(5, seed=s) for s in (30, 31)]
+
+    def test_shared_sweep_resumes_bit_identical_after_every_layer(
+            self, tmp_path):
+        clean = run_fs_shared(self.TABLES, counters=OperationCounters())
+        for k in range(1, 6):
+            ckpt = tmp_path / f"k{k}"
+            with pytest.raises(InjectedFault):
+                run_fs_shared(self.TABLES, counters=OperationCounters(),
+                              checkpoint_dir=str(ckpt),
+                              fault_injector=FaultInjector(
+                                  kill_after_layer=k))
+            restored = _shared_store(self.TABLES, ckpt).load_latest(upto=5)
+            assert restored.layer == k
+            # The restored maps are exactly the clean sweep's maps over
+            # the subsets of at most k variables (a level cost is keyed
+            # by the subset the choice extends, so at most k - 1).
+            done = [m for m in clean.mincost_by_subset
+                    if bin(m).count("1") <= k]
+            assert restored.mincost_by_subset == {
+                m: clean.mincost_by_subset[m] for m in done}
+            assert restored.best_last == {
+                m: clean.best_last[m] for m in done if m}
+            assert restored.level_cost_by_choice == {
+                key: cost
+                for key, cost in clean.level_cost_by_choice.items()
+                if bin(key[0]).count("1") < k}
+            resumed = run_fs_shared(self.TABLES,
+                                    counters=OperationCounters(),
+                                    checkpoint_dir=str(ckpt), resume=True)
+            assert_same_result(resumed, clean)
+            assert resumed.mincost_by_subset == clean.mincost_by_subset
+            assert resumed.best_last == clean.best_last
+            assert resumed.level_cost_by_choice == \
+                clean.level_cost_by_choice
+
+    def test_maps_are_stored_as_narrow_integer_columns(self, tmp_path):
+        run_fs_shared(self.TABLES, checkpoint_dir=str(tmp_path))
+        newest = sorted(tmp_path.glob("ckpt_*_layer_*.json"))[-1]
+        document = json.loads(newest.read_text())
+        assert document["format"] == FORMAT_VERSION == 2
+        payload = document["payload"]
+        for name, width in (("mincost_by_subset", 1), ("best_last", 1),
+                            ("level_cost_by_choice", 2)):
+            blob = payload[name]
+            assert blob["count"] > 0
+            assert len(blob["columns"]) == len(blob["dtypes"]) == width + 1
+            assert all(isinstance(c, str) for c in blob["columns"])
+        # n=5: masks, variables and costs all fit in one byte.
+        assert payload["level_cost_by_choice"]["dtypes"] == ["<i1"] * 3
+
+    def test_wide_values_round_trip(self):
+        mapping = {(1 << 40, 3): -(1 << 62), (7, 0): 300, (7, 1): -2}
+        blob = checkpoint_module._encode_map(mapping, 2)
+        assert blob["dtypes"] == ["<i8", "<i1", "<i8"]
+        decoded = checkpoint_module._decode_map(blob, 2, "m")
+        assert decoded == mapping
+        assert list(decoded) == sorted(mapping)
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda blob: blob["columns"].__setitem__(
+            0, blob["columns"][0][:-12]), "bytes"),
+        (lambda blob: blob["columns"].__setitem__(1, "!!not*base64!!"),
+         "malformed"),
+        (lambda blob: blob.__setitem__("count", blob["count"] + 1),
+         "bytes"),
+        (lambda blob: blob["columns"].pop(), "columns"),
+        (lambda blob: blob["dtypes"].__setitem__(2, "<f8"), "dtype"),
+    ])
+    def test_malformed_column_names_the_file(self, tmp_path, damage,
+                                             message):
+        run_fs_shared(self.TABLES, checkpoint_dir=str(tmp_path))
+        newest = sorted(tmp_path.glob("ckpt_*_layer_*.json"))[-1]
+        _rewrite_payload(newest,
+                         lambda p: damage(p["level_cost_by_choice"]))
+        with pytest.raises(CheckpointError, match=message) as excinfo:
+            run_fs_shared(self.TABLES, checkpoint_dir=str(tmp_path),
+                          resume=True)
+        assert str(newest) in str(excinfo.value)
+
+    def test_format_1_file_is_ignored(self, tmp_path):
+        # A file the previous writer left for this very sweep: nested
+        # JSON lists, format 1 in the fingerprint and so in the name.
+        clean = run_fs_shared(self.TABLES, counters=OperationCounters())
+        store = _shared_store(self.TABLES, tmp_path)
+        old_fingerprint = dict(store.fingerprint, format=1)
+        old_path = tmp_path / (
+            f"ckpt_{fingerprint_hash(old_fingerprint)}_layer_0003.json")
+        payload = {
+            "fingerprint": old_fingerprint,
+            "layer": 3,
+            "mincost_by_subset": [[0, 0]],
+            "best_last": [],
+            "level_cost_by_choice": [[[1, 0], 1]],
+            "subsets_processed": 0,
+            "counter_delta": {},
+            "entries": [],
+        }
+        canonical = json.dumps(payload, sort_keys=True,
+                               separators=(",", ":"))
+        with open(old_path, "w") as handle:
+            json.dump({"format": 1,
+                       "checksum": hashlib.sha256(
+                           canonical.encode()).hexdigest(),
+                       "payload": payload}, handle, sort_keys=True)
+        assert store.layers_on_disk() == []
+        resumed = run_fs_shared(self.TABLES, counters=OperationCounters(),
+                                checkpoint_dir=str(tmp_path), resume=True)
+        assert_same_result(resumed, clean)
+        assert old_path.exists()
+
+
+class TestCheckedJsonEnvelope:
+    PAYLOAD = {"entry": {"kind": "ordering", "order": [2, 0, 1]},
+               "n": 3, "note": "café"}
+
+    def test_old_json_dump_envelope_still_reads(self, tmp_path):
+        # The format-1 writer: json.dump of the whole document with
+        # default separators (cache entries on disk look like this).
+        path = tmp_path / "old.json"
+        canonical = json.dumps(self.PAYLOAD, sort_keys=True,
+                               separators=(",", ":"))
+        with open(path, "w") as handle:
+            json.dump({"format": 1,
+                       "checksum": hashlib.sha256(
+                           canonical.encode()).hexdigest(),
+                       "payload": self.PAYLOAD}, handle, sort_keys=True)
+        assert read_checked_json(str(path)) == self.PAYLOAD
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path,
+                                                monkeypatch):
+        path = str(tmp_path / "doc.json")
+        write_checked_json(path, {"v": 1})
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint_module.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_checked_json(path, {"v": 2})
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+        assert read_checked_json(path) == {"v": 1}
+
+    def test_loaders_ignore_temp_names(self, tmp_path):
+        table, directory, files = _checkpointed_run(tmp_path)
+        stray = directory / (files[-1].name + ".0123abcd.tmp")
+        stray.write_text("torn")
+        store = TestFingerprintMismatch._store(table, directory=directory)
+        assert store.layers_on_disk() == [1, 2, 3, 4]
+        assert store.load_latest(upto=4).path == str(files[-1])
+
+    def test_concurrent_writers_never_tear_the_file(self, tmp_path):
+        # Writers of one path (two runs checkpointing one input, with no
+        # lock between them) race every round; whichever lands last, the
+        # file must validate.  More writers than cores and large payloads
+        # make the writes overlap.
+        rounds, writers, writes_per_round = 30, 4, 3
+        path = str(tmp_path / "race.json")
+        payloads = [{"writer": w, "blob": str(w) * 400_000}
+                    for w in range(writers)]
+        barrier = threading.Barrier(writers)
+        errors = []
+
+        def writer(payload):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(writes_per_round):
+                    write_checked_json(path, payload)
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        for _ in range(rounds):
+            threads = [threading.Thread(target=writer, args=(p,))
+                       for p in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert errors == []
+            assert read_checked_json(path) in payloads
+        assert list(tmp_path.glob("*.tmp")) == []
