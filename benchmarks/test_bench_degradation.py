@@ -17,7 +17,7 @@ import time
 from conftest import print_table
 
 from repro.analysis.counters import OperationCounters
-from repro.core import Budget, optimize_with_fallback, run_fs
+from repro.core import Budget, run_fs, run_ladder
 from repro.errors import BudgetExceeded
 from repro.truth_table import TruthTable, obdd_size
 
@@ -56,7 +56,7 @@ def test_degradation_artifact(benchmark):
         exact_size = exact.mincost + exact.num_terminals
 
         def degrade(table=table):
-            return optimize_with_fallback(
+            return run_ladder(
                 table, budget=Budget(deadline=0.02))
 
         fallback = benchmark.pedantic(degrade, rounds=1, iterations=1) \

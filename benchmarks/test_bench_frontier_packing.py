@@ -1,16 +1,20 @@
-"""Frontier packing: peak retained-layer bytes, dict vs packed store.
+"""Frontier packing: peak retained-layer bytes of the columnar layer.
 
 The FS dynamic program's memory wall is the retained frontier — at the
 waist it holds ``C(n, n/2)`` states of ``2^{n/2}`` table cells each, the
-very cells the paper's ``3^n`` analysis counts.  The packed store keeps
-those cells bit-packed at ``bit_length(layer max)`` bits instead of one
-``int64`` plus interpreter overhead per state, with bit-identical
-results and counters.  Measured here: peak frontier bytes (the figure
-the budget's ``max_frontier_bytes`` cap meters) and sweep wall-clock for
-both stores over an ``n`` sweep — recorded to
+very cells the paper's ``3^n`` analysis counts.  A
+:class:`~repro.core.frontier.Layer` keeps one layer as mask, cost and
+chain columns plus one ``tables[P, cells]`` matrix in the narrowest
+unsigned dtype holding the layer's largest cell.  Measured here: peak
+frontier bytes (the exact figure the budget's ``max_frontier_bytes`` cap
+meters) and sweep wall-clock over an ``n`` sweep — recorded to
 ``BENCH_frontier_packing.json`` next to this file (the CI uploads it as
-an artifact).  The memory-regression gate: packed must stay under half
-the dict figure at ``n = 12`` (the recorded runs land around 7x).
+an artifact).
+
+The memory-regression gate: at ``n = 12`` (seed 12) the peak must stay at
+or below a third of 1,112,760 B, the figure the retired per-entry dict
+store (``int64`` tables plus a flat per-entry overhead) reported for the
+same sweep.  The columnar layer measures 263,340 B there.
 """
 
 import json
@@ -24,80 +28,57 @@ from repro.core import run_fs
 from repro.observability import Profiler
 from repro.truth_table import TruthTable
 
+DICT_STORE_PEAK_N12 = 1_112_760
+
 
 def test_frontier_packing_artifact(benchmark):
-    sizes = (8, 10, 12)
     rows = []
-    for n in sizes:
+    for n in (8, 10, 12):
         table = TruthTable.random(n, seed=n)
-        cells = {}
-        for store in ("dict", "packed"):
-            profiler = Profiler()
-            counters = OperationCounters()
-            start = time.perf_counter()
-            result = run_fs(table, frontier_store=store,
-                            counters=counters, profiler=profiler)
-            elapsed = time.perf_counter() - start
-            cells[store] = {
-                "peak_frontier_bytes": profiler.peak_frontier_bytes,
-                "sweep_seconds": elapsed,
-                "mincost": result.mincost,
-                "order": list(result.order),
-                "counters": counters.snapshot(),
-            }
-        # Bit-identity first: packing must not change what the DP computes.
-        assert cells["packed"]["mincost"] == cells["dict"]["mincost"]
-        assert cells["packed"]["order"] == cells["dict"]["order"]
-        assert cells["packed"]["counters"] == cells["dict"]["counters"]
-        ratio = (cells["dict"]["peak_frontier_bytes"]
-                 / cells["packed"]["peak_frontier_bytes"])
+        profiler = Profiler()
+        counters = OperationCounters()
+        start = time.perf_counter()
+        result = run_fs(table, counters=counters, profiler=profiler)
+        elapsed = time.perf_counter() - start
+        peak = max(profiler.layers, key=lambda layer: layer.frontier_bytes)
         rows.append({
             "n": n,
-            "dict_peak_frontier_bytes": cells["dict"]["peak_frontier_bytes"],
-            "packed_peak_frontier_bytes": cells["packed"][
-                "peak_frontier_bytes"],
-            "frontier_bytes_ratio": ratio,
-            "dict_sweep_seconds": cells["dict"]["sweep_seconds"],
-            "packed_sweep_seconds": cells["packed"]["sweep_seconds"],
+            "peak_frontier_bytes": profiler.peak_frontier_bytes,
+            "peak_layer_k": peak.k,
+            "peak_layer_states": peak.frontier_states,
+            "sweep_seconds": elapsed,
+            "mincost": result.mincost,
+            "table_cells": counters.table_cells,
         })
 
-    # The memory-regression gate at the largest size: the packed store
-    # must cut the budget-metered peak at least in half (recorded runs
-    # land around 7x; the gate is deliberately slack so noise in the
-    # id-width of a random instance cannot flake CI).
     top = rows[-1]
     assert top["n"] == 12
-    assert (top["packed_peak_frontier_bytes"] * 2
-            <= top["dict_peak_frontier_bytes"])
+    assert top["peak_frontier_bytes"] * 3 <= DICT_STORE_PEAK_N12
 
     record = {
         "benchmark": "frontier_packing",
-        "stores": ["dict", "packed"],
-        "dict_bytes_are_estimates": True,
-        "packed_bytes_are_exact": True,
+        "store": "layer",
+        "bytes_are_exact": True,
+        "dict_store_peak_n12": DICT_STORE_PEAK_N12,
         "rows": rows,
     }
     out_path = pathlib.Path(__file__).parent / "BENCH_frontier_packing.json"
     with open(out_path, "w") as handle:
         json.dump(record, handle, indent=2)
     with open(out_path) as handle:
-        assert json.load(handle)["rows"][-1]["frontier_bytes_ratio"] >= 2
+        assert json.load(handle)["rows"][-1]["n"] == 12
 
     benchmark.pedantic(
-        lambda: run_fs(TruthTable.random(10, seed=10),
-                       frontier_store="packed"),
+        lambda: run_fs(TruthTable.random(10, seed=10)),
         rounds=1, iterations=1,
     )
 
     print_table(
         "Frontier packing (numpy kernel, FULL policy)",
-        ["n", "dict peak B", "packed peak B", "ratio", "dict s", "packed s"],
+        ["n", "peak B", "peak k", "states", "sweep s"],
         [
-            (row["n"], row["dict_peak_frontier_bytes"],
-             row["packed_peak_frontier_bytes"],
-             f"{row['frontier_bytes_ratio']:.2f}x",
-             f"{row['dict_sweep_seconds']:.3f}",
-             f"{row['packed_sweep_seconds']:.3f}")
+            (row["n"], row["peak_frontier_bytes"], row["peak_layer_k"],
+             row["peak_layer_states"], f"{row['sweep_seconds']:.3f}")
             for row in rows
         ],
     )

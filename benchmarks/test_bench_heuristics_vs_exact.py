@@ -12,7 +12,8 @@ import pytest
 
 from conftest import print_table
 
-from repro.bdd import greedy_append, random_restart_search, sift, window_permute
+from repro.bdd import greedy_append, random_restart_search
+from repro.portfolio import sift_search, window_permutation_search
 from repro.core import run_fs
 from repro.functions import (
     achilles_bad_order,
@@ -49,8 +50,8 @@ def run_sweep():
         table = make()
         exact = run_fs(table)
         entries = {
-            "sift": sift(table, initial_order=list(range(table.n))),
-            "window3": window_permute(table, window=3),
+            "sift": sift_search(table, initial_order=list(range(table.n))),
+            "window3": window_permutation_search(table, window=3),
             "random30": random_restart_search(table, tries=30, seed=1),
             "greedy": greedy_append(table),
             "influence": Fixed(obdd_size(table, influence_order(table))),
@@ -117,8 +118,8 @@ def test_search_effort_comparison(benchmark):
         exact = run_fs(table)
         return {
             "FS subsets": exact.counters.subsets_processed,
-            "sift evals": sift(table).evaluations,
-            "window3 evals": window_permute(table, window=3).evaluations,
+            "sift evals": sift_search(table).evaluations,
+            "window3 evals": window_permutation_search(table, window=3).evaluations,
             "greedy evals": greedy_append(table).evaluations,
         }
 
@@ -137,7 +138,7 @@ def test_search_effort_comparison(benchmark):
 def test_sift_convergence_trajectory(benchmark):
     table = achilles_heel(4)
     result = benchmark.pedantic(
-        lambda: sift(table, initial_order=achilles_bad_order(4)),
+        lambda: sift_search(table, initial_order=achilles_bad_order(4)),
         rounds=1, iterations=1,
     )
     print(f"\nsift trajectory from the bad ordering: {result.trajectory}")

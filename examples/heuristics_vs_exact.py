@@ -10,7 +10,7 @@ against the certified optimum from the FS dynamic program.
 Run:  python examples/heuristics_vs_exact.py
 """
 
-from repro import TruthTable, run_fs, sift, window_permute
+from repro import TruthTable, run_fs, sift_search, window_permutation_search
 from repro.bdd import greedy_append, random_restart_search
 from repro.functions import (
     achilles_heel,
@@ -40,8 +40,8 @@ def main() -> None:
     for name, table in WORKLOAD:
         optimum = run_fs(table).size
         results = {
-            "sift": sift(table),
-            "window3": window_permute(table, window=3),
+            "sift": sift_search(table),
+            "window3": window_permutation_search(table, window=3),
             "random30": random_restart_search(table, tries=30, seed=1),
             "greedy": greedy_append(table),
         }

@@ -36,7 +36,7 @@ from .analysis import (
     solve_table2,
     theorem13_constant,
 )
-from .bdd import BDD, MTBDD, ReorderingBDD, ZDD, sift, window_permute
+from .bdd import BDD, MTBDD, ReorderingBDD, ZDD
 from .core import (
     AStarResult,
     Diagram,
@@ -113,8 +113,6 @@ __all__ = [
     "BDD",
     "ZDD",
     "MTBDD",
-    "sift",
-    "window_permute",
     "obdd_size",
     "count_subfunctions",
     # heuristic strategy portfolio

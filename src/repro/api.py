@@ -12,7 +12,6 @@ field lives on ``OrderingSolution.result``); ``solve`` is sugar over
 them, never a fork of their logic.
 
 Engine knobs (``engine=``, ``jobs=``, ``backend=``, ``frontier=``,
-``frontier_store=``,
 ``profiler=``, ``checkpoint_dir=``, ``resume=``, ``cache=``,
 ``budget=``, ``io_retry=``) pass through uniformly — including to
 ``window`` and ``fs_star``, which natively take an
@@ -23,8 +22,7 @@ Orthogonal to ``method=`` sits the **strategy axis**: ``strategy=``
 selects *how hard to try* rather than *what to compute*.
 ``"exact"`` (the default) runs the chosen method as-is;
 ``"fallback"`` runs the budget-degradation ladder
-(:func:`repro.core.budget.run_ladder`, the successor of the deprecated
-``optimize_with_fallback``); ``"portfolio"`` races every registered
+(:func:`repro.core.budget.run_ladder`); ``"portfolio"`` races every registered
 heuristic (:func:`repro.portfolio.run_portfolio`) and returns the
 deterministic winner; and any single registered strategy name (see
 :func:`repro.portfolio.available_strategies`) runs that heuristic
@@ -39,6 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from .analysis.counters import OperationCounters
 from .core.engine import EngineConfig
+from .core.frontier import available_frontier_stores
 from .core.spec import FSState, ReductionRule
 from .observability import Profiler
 from .truth_table import TruthTable
@@ -52,7 +51,6 @@ _ENGINE_KWARGS: Dict[str, str] = {
     "jobs": "jobs",
     "backend": "backend",
     "frontier": "frontier",
-    "frontier_store": "frontier_store",
     "profiler": "profiler",
     "checkpoint_dir": "checkpoint_dir",
     "resume": "resume",
@@ -174,7 +172,7 @@ def _engine_config(method: str, kwargs: Dict[str, Any]) -> EngineConfig:
 # frontier policy / fault injection / io_retry: strategies run many
 # small exact sweeps and never checkpoint mid-heuristic).
 _STRATEGY_ENGINE_KWARGS = (
-    "engine", "jobs", "backend", "frontier_store", "profiler", "cache",
+    "engine", "jobs", "backend", "profiler", "cache",
     "budget", "checkpoint_dir", "resume", "max_pool_rebuilds",
 )
 
@@ -245,9 +243,11 @@ def solve(
         returned on the solution otherwise).
     **engine_kwargs:
         Uniform execution knobs, identical across methods: ``engine``,
-        ``jobs``, ``backend``, ``frontier``, ``frontier_store``,
-        ``profiler``, ``checkpoint_dir``, ``resume``, ``fault_injector``,
-        ``cache``, ``budget``, ``io_retry``, ``max_pool_rebuilds``.
+        ``jobs``, ``backend``, ``frontier``, ``profiler``,
+        ``checkpoint_dir``, ``resume``, ``fault_injector``, ``cache``,
+        ``budget``, ``io_retry``, ``max_pool_rebuilds``.  The retired
+        ``frontier_store`` knob is still accepted with its one legal
+        value, ``"dict"`` (any other value raises ``ValueError``).
 
     Returns
     -------
@@ -258,6 +258,12 @@ def solve(
     if method not in METHODS:
         raise ValueError(
             f"unknown method {method!r}; expected one of {list(METHODS)}"
+        )
+    store = engine_kwargs.pop("frontier_store", "dict")
+    if store not in available_frontier_stores():
+        raise ValueError(
+            f"unknown frontier store {store!r}; expected one of "
+            f"{available_frontier_stores()}"
         )
     if counters is None:
         counters = OperationCounters()
@@ -430,7 +436,6 @@ def _solve_strategy(
             window_width=width,
             checkpoint_dir=kwargs.get("checkpoint_dir"),
             resume=kwargs.get("resume", False),
-            frontier_store=kwargs.get("frontier_store", "dict"),
             fallback_rungs=fallback_rungs,
         )
         return OrderingSolution(
@@ -445,7 +450,6 @@ def _solve_strategy(
         kernel=kwargs.get("engine", "numpy"),
         jobs=kwargs.get("jobs", 1),
         backend=kwargs.get("backend", "thread"),
-        frontier_store=kwargs.get("frontier_store", "dict"),
         profiler=kwargs.get("profiler"),
         cache=kwargs.get("cache"),
         budget=kwargs.get("budget"),

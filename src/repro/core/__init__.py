@@ -23,7 +23,6 @@ from .budget import (
     FallbackResult,
     RungAttempt,
     handle_signals,
-    optimize_with_fallback,
     parse_ladder,
     run_ladder,
 )
@@ -98,16 +97,7 @@ from .divide_conquer import (
     opt_obdd,
     opt_obdd_extend,
 )
-from .frontier import (
-    DictFrontier,
-    FrontierStore,
-    PackedFrontier,
-    PackedSlice,
-    available_frontier_stores,
-    create_frontier_store,
-    get_frontier_store,
-    register_frontier_store,
-)
+from .frontier import Layer, available_frontier_stores
 from .fs import FSResult, find_optimal_ordering, initial_state, run_fs, terminal_values
 from .fs_star import fs_star_levels, make_fs_star_solver, run_fs_star
 from .window import WindowResult, exact_window, window_sweep
@@ -132,7 +122,6 @@ __all__ = [
     "RetryPolicy",
     "RungAttempt",
     "handle_signals",
-    "optimize_with_fallback",
     "parse_ladder",
     "run_ladder",
     "BatchError",
@@ -183,14 +172,8 @@ __all__ = [
     "get_kernel",
     "register_kernel",
     "run_layered_sweep",
-    "DictFrontier",
-    "FrontierStore",
-    "PackedFrontier",
-    "PackedSlice",
+    "Layer",
     "available_frontier_stores",
-    "create_frontier_store",
-    "get_frontier_store",
-    "register_frontier_store",
     "ChunkResult",
     "ChunkTask",
     "ExecutorBackend",

@@ -3,7 +3,7 @@
 The FS dynamic program is the most expensive thing this repository runs —
 ``O*(3^n)`` table cells (Theorem 5) — and, because Lemma 4's recurrence
 only ever reads the previous layer, a finished layer is a perfect cut
-point: the frontier entries plus the accumulated DP tables are everything
+point: the frontier layer plus the accumulated DP tables are everything
 the sweep needs to continue.  This module snapshots exactly that state so
 :func:`repro.core.engine.run_layered_sweep` can restart from the last
 finished layer instead of from scratch, which covers every DP entry point
@@ -27,13 +27,14 @@ Design points:
   same directory and ``os.replace``-d into place, so a crash mid-write
   leaves the previous checkpoint intact (the torn temp file is ignored
   by the loader), and two writers of one path never share a temp inode.
-* **Columnar DP maps.**  The cumulative ``mincost_by_subset``,
-  ``best_last`` and ``level_cost_by_choice`` maps travel as sorted
-  base64 little-endian integer columns (each at the narrowest of int8
-  to int64 that holds it), not as nested JSON lists, so a layer's file
-  costs one C-level encode of a few strings.  Format 2
-  introduced them; the format is part of the fingerprint, so format-1
-  files hash to other names and are never resumed.
+* **Columnar payload.**  The finished frontier layer (its mask, cost,
+  chain and table columns; see :class:`~repro.core.frontier.Layer`) and
+  the cumulative ``mincost_by_subset``, ``best_last`` and
+  ``level_cost_by_choice`` maps travel as base64 little-endian integer
+  columns, each at the narrowest of int8 to int64 that holds it, so a
+  layer's file costs one C-level encode of a few strings.  Format 3
+  introduced the layer columns; the format is part of the fingerprint,
+  so older files hash to other names and are never resumed.
 * **Exact counter restoration.**  Each checkpoint stores the sweep's
   *delta* of :class:`~repro.analysis.counters.OperationCounters` since
   the sweep started.  Because the sweep is deterministic, restoring the
@@ -60,15 +61,16 @@ import secrets
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.counters import OperationCounters
 from ..errors import CheckpointError
+from .frontier import Layer, Skeleton  # noqa: F401  (Skeleton re-exported)
 from .spec import FSState
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _COUNTER_FIELDS = (
     "table_cells",
@@ -217,22 +219,6 @@ class RetryPolicy:
                 if on_retry is not None:
                     on_retry(attempt, exc)
                 self.sleep(delay)
-
-
-@dataclass
-class Skeleton:
-    """Mincost-only frontier entry: enough to rebuild the state on demand.
-
-    (Lives here — not in :mod:`repro.core.engine` — so the checkpoint
-    codec, the engine and the frontier stores share one definition
-    without import cycles.)
-    """
-
-    pi: Tuple[int, ...]
-    mincost: int
-
-
-Entry = Union[FSState, Skeleton]
 
 
 class InjectedFault(RuntimeError):
@@ -415,87 +401,29 @@ def fingerprint_hash(fingerprint: Dict[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# entry / counter codecs
+# column / counter codecs
 # ----------------------------------------------------------------------
 
-def _encode_entry(entry: Entry) -> Dict[str, Any]:
-    if isinstance(entry, FSState):
-        out: Dict[str, Any] = {
-            "kind": "state",
-            "mask": entry.mask,
-            "pi": list(entry.pi),
-            "mincost": entry.mincost,
-            "dtype": str(entry.table.dtype),
-            "table": base64.b64encode(
-                np.ascontiguousarray(entry.table).tobytes()
-            ).decode("ascii"),
-        }
-        if entry.nodes is not None:
-            out["nodes"] = [
-                [u, list(triple)] for u, triple in sorted(entry.nodes.items())
-            ]
-        return out
-    return {
-        "kind": "skeleton",
-        "pi": list(entry.pi),
-        "mincost": entry.mincost,
-    }
-
-
-def _decode_entry(
-    blob: Dict[str, Any], n: int, num_terminals: int, num_roots: int
-) -> Entry:
-    if blob["kind"] == "skeleton":
-        return Skeleton(pi=tuple(blob["pi"]), mincost=int(blob["mincost"]))
-    table = np.frombuffer(
-        base64.b64decode(blob["table"]), dtype=np.dtype(blob["dtype"])
-    ).copy()
-    nodes = None
-    if "nodes" in blob:
-        nodes = {int(u): tuple(triple) for u, triple in blob["nodes"]}
-    return FSState(
-        n=n,
-        mask=int(blob["mask"]),
-        pi=tuple(blob["pi"]),
-        mincost=int(blob["mincost"]),
-        table=table,
-        num_terminals=num_terminals,
-        nodes=nodes,
-        num_roots=num_roots,
-    )
-
-
-_MAP_DTYPES = ("<i1", "<i2", "<i4", "<i8")
+_COLUMN_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 
 
 def _narrowest_dtype(column: np.ndarray) -> str:
     """Smallest signed little-endian integer dtype holding ``column``."""
     if column.size == 0:
-        return _MAP_DTYPES[0]
+        return _COLUMN_DTYPES[0]
     lo, hi = int(column.min()), int(column.max())
-    for dtype in _MAP_DTYPES[:-1]:
+    for dtype in _COLUMN_DTYPES[:-1]:
         info = np.iinfo(dtype)
         if info.min <= lo and hi <= info.max:
             return dtype
-    return _MAP_DTYPES[-1]
+    return _COLUMN_DTYPES[-1]
 
 
-def _encode_map(mapping: Dict[Any, int], key_width: int) -> Dict[str, Any]:
-    """A DP map as base64 integer columns sorted by key: one column per
-    key component (``key_width`` of them), then the values.  Each column
-    is stored at the narrowest signed little-endian width that holds it
-    (int64 at most), so the file is no larger than the JSON lists were."""
-    count = len(mapping)
-    flat_keys = chain.from_iterable(mapping) if key_width > 1 else mapping
-    keys = np.fromiter(
-        flat_keys, dtype=np.int64, count=count * key_width
-    ).reshape(count, key_width)
-    values = np.fromiter(mapping.values(), dtype=np.int64, count=count)
-    order = np.lexsort(keys.T[::-1])
-    columns = [column[order] for column in (*keys.T, values)]
+def _encode_columns(columns: List[np.ndarray]) -> Dict[str, Any]:
+    """Integer columns as base64 text, each at the narrowest signed
+    little-endian width that holds it (int64 at most)."""
     dtypes = [_narrowest_dtype(column) for column in columns]
     return {
-        "count": count,
         "dtypes": dtypes,
         "columns": [
             base64.b64encode(column.astype(dtype).tobytes()).decode("ascii")
@@ -504,33 +432,103 @@ def _encode_map(mapping: Dict[Any, int], key_width: int) -> Dict[str, Any]:
     }
 
 
+def _decode_columns(
+    blob: Dict[str, Any], lengths: List[int], name: str
+) -> List[np.ndarray]:
+    """Inverse of :func:`_encode_columns` for columns of the given
+    lengths; ``ValueError`` on a malformed column (the loader turns it
+    into a :class:`CheckpointError`)."""
+    texts, dtypes = blob["columns"], blob["dtypes"]
+    if len(texts) != len(lengths) or len(dtypes) != len(lengths):
+        raise ValueError(
+            f"{name} has {len(texts)} columns and {len(dtypes)} dtypes, "
+            f"expected {len(lengths)}"
+        )
+    columns = []
+    for text, dtype, length in zip(texts, dtypes, lengths):
+        if dtype not in _COLUMN_DTYPES:
+            raise ValueError(f"{name} column has unknown dtype {dtype!r}")
+        raw = base64.b64decode(text, validate=True)
+        if len(raw) != np.dtype(dtype).itemsize * length:
+            raise ValueError(
+                f"{name} column holds {len(raw)} bytes, expected "
+                f"{length} {dtype} values"
+            )
+        columns.append(np.frombuffer(raw, dtype=dtype))
+    return columns
+
+
+def _encode_map(mapping: Dict[Any, int], key_width: int) -> Dict[str, Any]:
+    """A DP map as integer columns sorted by key: one column per key
+    component (``key_width`` of them), then the values."""
+    count = len(mapping)
+    flat_keys = chain.from_iterable(mapping) if key_width > 1 else mapping
+    keys = np.fromiter(
+        flat_keys, dtype=np.int64, count=count * key_width
+    ).reshape(count, key_width)
+    values = np.fromiter(mapping.values(), dtype=np.int64, count=count)
+    order = np.lexsort(keys.T[::-1])
+    return {
+        "count": count,
+        **_encode_columns([column[order] for column in (*keys.T, values)]),
+    }
+
+
 def _decode_map(
     blob: Dict[str, Any], key_width: int, name: str
 ) -> Dict[Any, int]:
-    """Inverse of :func:`_encode_map`; ``ValueError`` on a malformed
-    column (the loader turns it into a :class:`CheckpointError`)."""
+    """Inverse of :func:`_encode_map`."""
     count = int(blob["count"])
-    texts, dtypes = blob["columns"], blob["dtypes"]
-    if len(texts) != key_width + 1 or len(dtypes) != key_width + 1:
-        raise ValueError(
-            f"{name} has {len(texts)} columns and {len(dtypes)} dtypes, "
-            f"expected {key_width + 1}"
-        )
-    columns = []
-    for text, dtype in zip(texts, dtypes):
-        if dtype not in _MAP_DTYPES:
-            raise ValueError(f"{name} column has unknown dtype {dtype!r}")
-        raw = base64.b64decode(text, validate=True)
-        if len(raw) != np.dtype(dtype).itemsize * count:
-            raise ValueError(
-                f"{name} column holds {len(raw)} bytes, expected "
-                f"{count} {dtype} values"
-            )
-        columns.append(np.frombuffer(raw, dtype=dtype).tolist())
-    *keys, values = columns
+    *keys, values = (
+        column.tolist()
+        for column in _decode_columns(blob, [count] * (key_width + 1), name)
+    )
     if key_width == 1:
         return dict(zip(keys[0], values))
     return dict(zip(zip(*keys), values))
+
+
+def _encode_layer(layer: Layer) -> Dict[str, Any]:
+    """A frontier layer as its columns, in row order; the tables column
+    is absent for a mincost-only layer."""
+    columns = [layer.masks, layer.costs, layer.pis.ravel()]
+    if layer.tables is not None:
+        columns.append(layer.tables.ravel())
+    return {
+        "count": len(layer),
+        "pi_len": int(layer.pis.shape[1]),
+        "cells": None if layer.tables is None else int(layer.tables.shape[1]),
+        **_encode_columns(columns),
+    }
+
+
+def _decode_layer(
+    blob: Dict[str, Any], k: int, fingerprint: Dict[str, Any]
+) -> Layer:
+    """Inverse of :func:`_encode_layer`, checked against the shape layer
+    ``k`` of the fingerprinted sweep must have."""
+    count, pi_len = int(blob["count"]), int(blob["pi_len"])
+    placed = len(fingerprint["base_pi"]) + k
+    if pi_len != placed:
+        raise ValueError(f"layer pi_len {pi_len}, expected {placed}")
+    lengths = [count, count, count * pi_len]
+    if blob["cells"] is not None:
+        cells = int(blob["cells"])
+        expected = fingerprint["num_roots"] << (fingerprint["n"] - placed)
+        if cells != expected:
+            raise ValueError(f"layer has {cells} cells, expected {expected}")
+        lengths.append(count * cells)
+    masks, costs, pis, *tables = _decode_columns(blob, lengths, "layer")
+    return Layer(
+        n=fingerprint["n"],
+        num_terminals=fingerprint["num_terminals"],
+        num_roots=fingerprint["num_roots"],
+        base_mask=fingerprint["base_mask"],
+        masks=masks,
+        costs=costs,
+        pis=pis.reshape(count, pi_len),
+        tables=tables[0].reshape(count, -1) if tables else None,
+    )
 
 
 def counters_from_snapshot(snapshot: Dict[str, int]) -> OperationCounters:
@@ -554,7 +552,7 @@ class RestoredSweep:
     """Everything a resumed sweep needs to continue after ``layer``."""
 
     layer: int
-    entries: Dict[int, Entry]
+    frontier: Layer
     mincost_by_subset: Dict[int, int]
     best_last: Dict[int, int]
     level_cost_by_choice: Dict[Tuple[int, int], int]
@@ -606,45 +604,25 @@ class CheckpointStore:
     def save_layer(
         self,
         k: int,
-        entries: Any,
+        frontier: Layer,
         mincost_by_subset: Dict[int, int],
         best_last: Dict[int, int],
         level_cost_by_choice: Dict[Tuple[int, int], int],
         subsets_processed: int,
         counter_delta: Dict[str, int],
     ) -> str:
-        """Atomically persist layer ``k``; returns the file path.
-
-        ``entries`` is the finished layer: a plain ``mask -> entry`` dict
-        or a :class:`~repro.core.frontier.FrontierStore`.  A store that
-        offers a packed payload (``checkpoint_payload``) is written as
-        one ``entries_packed`` column blob; everything else uses the
-        historical per-entry ``entries`` list.  Both forms carry the same
-        fingerprint and are mutually resumable — the engine repacks
-        restored entries under whatever store the resuming config names.
-        """
-        packed_payload: Optional[Dict[str, Any]] = None
-        payload_hook = getattr(entries, "checkpoint_payload", None)
-        if callable(payload_hook):
-            packed_payload = payload_hook()
-            if packed_payload is None:
-                entries = entries.to_entry_dict()
+        """Atomically persist layer ``k`` (its finished ``frontier`` plus
+        the cumulative DP maps); returns the file path."""
         payload = {
             "fingerprint": self.fingerprint,
             "layer": k,
+            "frontier": _encode_layer(frontier),
             "mincost_by_subset": _encode_map(mincost_by_subset, 1),
             "best_last": _encode_map(best_last, 1),
             "level_cost_by_choice": _encode_map(level_cost_by_choice, 2),
             "subsets_processed": subsets_processed,
             "counter_delta": dict(sorted(counter_delta.items())),
         }
-        if packed_payload is not None:
-            payload["entries_packed"] = packed_payload
-        else:
-            payload["entries"] = [
-                [mask, _encode_entry(entry)]
-                for mask, entry in sorted(entries.items())
-            ]
         path = self.layer_path(k)
         if self.retry is not None:
             return self.retry.run(
@@ -682,27 +660,13 @@ class CheckpointStore:
                 f"{', '.join(differing) or 'entire fingerprint'}); "
                 "refusing to resume from it"
             )
-        n = self.fingerprint["n"]
-        num_terminals = self.fingerprint["num_terminals"]
-        num_roots = self.fingerprint["num_roots"]
         try:
-            if "entries_packed" in payload:
-                # Packed column payload (written by a packed frontier
-                # store).  Decoded into the historical entry dict so
-                # resume works regardless of the resuming store.
-                from .frontier import PackedFrontier  # deferred: no cycle
-
-                entries = PackedFrontier.decode_checkpoint_payload(
-                    payload["entries_packed"]
-                )
-            else:
-                entries = {
-                    int(mask): _decode_entry(blob, n, num_terminals, num_roots)
-                    for mask, blob in payload["entries"]
-                }
+            layer = int(payload["layer"])
             restored = RestoredSweep(
-                layer=int(payload["layer"]),
-                entries=entries,
+                layer=layer,
+                frontier=_decode_layer(
+                    payload["frontier"], layer, self.fingerprint
+                ),
                 mincost_by_subset=_decode_map(
                     payload["mincost_by_subset"], 1, "mincost_by_subset"
                 ),

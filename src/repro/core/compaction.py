@@ -42,7 +42,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -50,9 +50,9 @@ import numpy as np
 from .._bitops import bits_of, insert_bit_indices, rank_in_mask
 from ..analysis.counters import OperationCounters
 from ..errors import OrderingError
-from .checkpoint import Skeleton
 from .engine import register_kernel
-from .executor import ChunkResult, Entry, materialize_entry
+from .executor import ChunkResult, materialize_entry
+from .frontier import Layer
 from .spec import FSState, ReductionRule
 
 _KEY_SHIFT = 32
@@ -235,14 +235,11 @@ def compact_python(
 class _Candidates(NamedTuple):
     """A chunk's ``(predecessor, variable)`` candidates, as columns."""
 
-    preds: List[Entry]
-    """Feasible predecessor entries; ``row`` indexes this list."""
-    pred_masks: List[int]
-    """Their relative masks."""
     subset: np.ndarray
     """Index of the candidate's subset in the chunk."""
     var: np.ndarray
     row: np.ndarray
+    """Row of the candidate's predecessor in the previous layer."""
     position: np.ndarray
     """Insert-bit position: the variable's rank among the predecessor's
     free variables."""
@@ -256,11 +253,11 @@ class _Candidates(NamedTuple):
         return np.bincount(self.subset)[self.subset] > 1
 
 
-def _layer_candidates(masks: Sequence[int], previous: Any,
+def _layer_candidates(masks: Sequence[int], previous: Layer,
                       base: FSState) -> _Candidates:
     """Enumerate a chunk's candidates in the scalar loop's order: subsets
-    in chunk order, variables ascending.  Infeasible predecessors
-    (``previous.get`` is ``None``) yield no candidate."""
+    in chunk order, variables ascending.  Predecessors missing from
+    ``previous`` (infeasible under a subset filter) yield no candidate."""
     mask_arr = np.array(masks, dtype=np.int64)
     variables = bits_of(reduce(or_, masks))
     var_arr = np.array(variables, dtype=np.int64)
@@ -277,24 +274,14 @@ def _layer_candidates(masks: Sequence[int], previous: Any,
     members_below = np.cumsum(member, axis=1) - member
     cand_pos = free_below[column] - members_below[cand_subset, column]
     cand_pmask = mask_arr[cand_subset] ^ (np.int64(1) << cand_var)
-    rows: Dict[int, int] = {}
-    cand_row = np.array(
-        [rows.setdefault(p, len(rows)) for p in cand_pmask.tolist()],
-        dtype=np.int64,
-    )
-    pred_masks = list(rows)
-    preds = [previous.get(p) for p in pred_masks]
-    if any(entry is None for entry in preds):
-        # Infeasible predecessors under a subset filter.
-        feasible = np.array([entry is not None for entry in preds])
-        keep = feasible[cand_row]
-        cand_row = (np.cumsum(feasible) - 1)[cand_row[keep]]
+    rows = previous.row_index()
+    cand_row = np.array([rows.get(p, -1) for p in cand_pmask.tolist()],
+                        dtype=np.int64)
+    keep = cand_row >= 0
+    if not keep.all():
         cand_subset, cand_var = cand_subset[keep], cand_var[keep]
-        cand_pos = cand_pos[keep]
-        pred_masks = [p for p, e in zip(pred_masks, preds) if e is not None]
-        preds = [entry for entry in preds if entry is not None]
-    return _Candidates(preds, pred_masks, cand_subset, cand_var, cand_row,
-                       cand_pos)
+        cand_row, cand_pos = cand_row[keep], cand_pos[keep]
+    return _Candidates(cand_subset, cand_var, cand_row, cand_pos)
 
 
 def _batches(count: int, width: int) -> List[slice]:
@@ -355,7 +342,7 @@ def _distinct_live(steps: np.ndarray, merged: np.ndarray) -> np.ndarray:
 
 def compact_layer(
     masks: Sequence[int],
-    previous: Any,
+    previous: Layer,
     base: FSState,
     rule: ReductionRule,
     retain_full: bool,
@@ -365,59 +352,57 @@ def compact_layer(
     """Finalize one chunk of a DP layer with the fused numpy kernel.
 
     ``masks`` are same-cardinality sub-masks of the swept universe
-    (relative to ``base``); ``previous`` is the finished previous layer,
-    read only through ``get``.  The result equals running :func:`compact`
-    on every ``(predecessor, variable)`` candidate and keeping, per
-    subset, the cheapest candidate with ties to the lowest variable —
-    entries, ``MINCOST``, ``best_last``, every ``Cost_i`` and every
+    (relative to ``base``); ``previous`` is the finished previous layer.
+    The result equals running :func:`compact` on every ``(predecessor,
+    variable)`` candidate and keeping, per subset, the cheapest candidate
+    with ties to the lowest variable — ``MINCOST``, chains, tables,
+    ``best_last``, every ``Cost_i`` and every
     :class:`~repro.analysis.counters.OperationCounters` tally, replay
     extras included.  It gets there in three steps:
 
-    1. the predecessor tables are stacked into one ``tables[P, cells]``
-       matrix (mincost-only skeletons are replayed first);
+    1. candidates resolve to rows of ``previous.tables`` (a mincost-only
+       layer's rows are replayed once each into a local matrix);
     2. candidates are sorted by insert-bit position; one strided 2-D
        gather per position builds their ``u0 << 32 | u1`` keys, and a
        row-wise sort plus an adjacent-difference count give each one's
        ``created`` nodes — no table is built;
     3. only each subset's winner gets a table, its node ids being
        ``next_id`` plus the key's rank among the row's distinct live
-       keys (what ``np.unique(..., return_inverse=True)`` assigns).
+       keys (what ``np.unique(..., return_inverse=True)`` assigns),
+       written straight into the chunk's output layer.
 
     Steps 2 and 3 run in batches of bounded size (:func:`_batches`).
-    Node structure is not tracked: callers run the per-candidate loop
-    when ``base.nodes`` is set.  ``should_stop`` is polled before each
-    batch of step 2 and once before step 3 (see :func:`fused_polls`); a
-    stopped chunk returns ``cancelled=True`` with no entries.
+    ``should_stop`` is polled before each batch of step 2 and once
+    before step 3 (see :func:`fused_polls`); a stopped chunk returns
+    ``cancelled=True`` with no layer.
     """
     out = ChunkResult(counters=counters)
     if not masks:
         return out
     cands = _layer_candidates(masks, previous, base)
-    preds = cands.preds
 
     n, num_roots = base.n, base.num_roots
     new_segment = 1 << (n - base.placed - int(masks[0]).bit_count())
     width = num_roots * new_segment
-    pmincost = np.array([entry.mincost for entry in preds], dtype=np.int64)
-    next_id = base.num_terminals + int(pmincost.max(initial=0))
-    if next_id >= _ID_LIMIT:  # pragma: no cover - needs >2^32 nodes
-        raise OverflowError("node id space exhausted")
-    # Cells hold ids below next_id (edges below 2 * next_id under CBDD),
-    # so the stack is int32 — half the gather traffic — until they no
-    # longer fit.
-    cell_dtype = np.int32 if 2 * next_id < 2**31 else np.int64
-    tables = np.empty((len(preds), 2 * width), dtype=cell_dtype)
+    pmincost = previous.costs
+    if base.num_terminals + int(pmincost.max()) >= _ID_LIMIT:
+        raise OverflowError("node id space exhausted")  # pragma: no cover
     replay = OperationCounters()
-    uses = np.bincount(cands.row, minlength=len(preds)).tolist()
-    for row, entry in enumerate(preds):
-        if isinstance(entry, Skeleton):
-            # Each candidate reading a skeleton replays it on the scalar
-            # path; replay it once here and charge the same extras.
+    tables, rows = previous.tables, cands.row
+    if tables is None:
+        # Each candidate reading a skeleton replays it on the scalar
+        # path; replay each used row once here and charge the same
+        # extras per use.
+        used, rows = np.unique(cands.row, return_inverse=True)
+        uses = np.bincount(rows).tolist()
+        replayed = []
+        for row, count in zip(used.tolist(), uses):
             tally = OperationCounters()
-            entry = materialize_entry(base, entry, compact, rule, tally)
+            replayed.append(materialize_entry(
+                base, previous.entry(row), compact, rule, tally).table)
             for key, amount in tally.extra.items():
-                replay.add_extra(key, amount * uses[row])
-        tables[row] = entry.table
+                replay.add_extra(key, amount * count)
+        tables = np.stack(replayed)
 
     def by_position(picked: np.ndarray) -> np.ndarray:
         return picked[np.argsort(cands.position[picked], kind="stable")]
@@ -431,7 +416,7 @@ def compact_layer(
             return out
         sel = counted[batch]
         _, merged, keys, _ = _cofactor_keys(
-            tables, cands.row[sel], cands.position[sel], new_segment,
+            tables, rows[sel], cands.position[sel], new_segment,
             num_roots, rule,
         )
         keys.sort(axis=1)
@@ -451,19 +436,19 @@ def compact_layer(
         out.cancelled = True
         return out
 
-    # Step 3: tables for the winners only.
-    tables_of: Dict[int, np.ndarray] = {}
+    # Step 3: tables for the winners only, one row per subset.
+    out_tables = None
     if retain_full:
+        out_tables = np.empty((len(masks), width), dtype=np.int64)
         ranked_winners = by_position(winners)
         for batch in _batches(len(ranked_winners), width):
             sel = ranked_winners[batch]
-            rows = cands.row[sel]
             u0, merged, keys, complement = _cofactor_keys(
-                tables, rows, cands.position[sel], new_segment, num_roots,
-                rule,
+                tables, rows[sel], cands.position[sel], new_segment,
+                num_roots, rule,
             )
             # A cell's id: its key's rank among the row's distinct keys.
-            at = np.arange(len(rows))[:, None]
+            at = np.arange(len(sel))[:, None]
             by_key = keys.argsort(axis=1)
             ranked = keys[at, by_key]
             steps = ranked[:, 1:] != ranked[:, :-1]
@@ -472,12 +457,12 @@ def compact_layer(
             np.cumsum(steps, axis=1, out=rank[:, 1:])
             block = np.empty_like(rank)
             block[at, by_key] = rank
-            block += (base.num_terminals + pmincost[rows])[:, None]
+            block += (base.num_terminals + pmincost[cands.row[sel]])[:, None]
             if complement is not None:
                 block <<= 1
                 block |= complement
             block[merged] = u0[merged]
-            tables_of.update(zip(sel.tolist(), block))
+            out_tables[cands.subset[sel]] = block
 
     cost = pmincost[cands.row] + created
     counters.compactions += len(cands.row)
@@ -486,36 +471,30 @@ def compact_layer(
     counters.subsets_processed += len(masks)
     counters.merge(replay)
 
-    base_mask = base.mask
     # One int object per predecessor mask, shared by its candidates' keys
     # (as the scalar loop's ``prev_state.mask`` is): results hold these
     # keys for every candidate of the sweep.
-    abs_masks = [base_mask | p for p in cands.pred_masks]
+    abs_masks = [base.mask | p for p in previous.masks.tolist()]
     out.level_cost = dict(zip(
         zip(map(abs_masks.__getitem__, cands.row.tolist()),
             cands.var.tolist()),
         created.tolist(),
     ))
-    for mask, winner, var, row, total in zip(
-        masks, winners.tolist(), cands.var[winners].tolist(),
-        cands.row[winners].tolist(), cost[winners].tolist(),
-    ):
-        pi = preds[row].pi + (var,)
-        if retain_full:
-            out.entries[mask] = FSState(
-                n=n, mask=base_mask | mask, pi=pi, mincost=total,
-                table=tables_of[winner], num_terminals=base.num_terminals,
-                num_roots=num_roots,
-            )
-        else:
-            out.entries[mask] = Skeleton(pi=pi, mincost=total)
-        out.mincost[mask] = total
-        out.best_last[mask] = var
+    win_var, win_cost = cands.var[winners], cost[winners]
+    out.layer = Layer(
+        n=n, num_terminals=base.num_terminals, num_roots=num_roots,
+        base_mask=base.mask, masks=masks, costs=win_cost,
+        pis=np.concatenate(
+            [previous.pis[cands.row[winners]], win_var[:, None]], axis=1),
+        tables=out_tables,
+    )
+    out.mincost = dict(zip(masks, win_cost.tolist()))
+    out.best_last = dict(zip(masks, win_var.tolist()))
     out.processed = len(masks)
     return out
 
 
-def fused_polls(masks: Sequence[int], previous: Any, base: FSState,
+def fused_polls(masks: Sequence[int], previous: Layer, base: FSState,
                 retain_full: bool) -> int:
     """How many times :func:`compact_layer` polls ``should_stop`` on this
     chunk when it runs to completion: once per batch its count pass

@@ -65,19 +65,18 @@ from typing import (
 
 from .._bitops import popcount, subsets_of_size
 from ..analysis.counters import OperationCounters
-from ..errors import BudgetExceeded, DimensionError, ExecutorBrokenError
+from ..errors import (
+    BudgetExceeded, DimensionError, ExecutorBrokenError, OrderingError,
+)
 from ..observability import Profiler
 from .checkpoint import (
-    CheckpointStore, FaultInjector, RetryPolicy, Skeleton, sweep_fingerprint,
+    CheckpointStore, FaultInjector, RetryPolicy, sweep_fingerprint,
 )
 from .executor import (
     ExecutorBackend, SweepContext, available_backends, get_backend,
     materialize_entry, resolve_backend, split_chunks,
 )
-from .frontier import (
-    FrontierStore, available_frontier_stores, create_frontier_store,
-    get_frontier_store,
-)
+from .frontier import Layer
 from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache imports spec)
@@ -188,18 +187,6 @@ class EngineConfig:
 
     frontier: FrontierPolicy = FrontierPolicy.FULL
 
-    frontier_store: Union[str, type] = "dict"
-    """How retained layers are *represented* (orthogonal to the
-    :class:`FrontierPolicy`, which decides *what* is retained): a name
-    from the frontier-store registry (see :mod:`repro.core.frontier`) —
-    ``"dict"`` for the historical ``mask -> FSState`` mapping, ``"packed"``
-    for contiguous narrow-width column storage — or a
-    :class:`~repro.core.frontier.FrontierStore` subclass.  Results and
-    operation counters are bit-identical across stores; only memory
-    footprint (and the process backend's ``bytes_shipped`` transport
-    extra) changes.  Checkpoints are store-agnostic: a sweep may resume
-    under a different store than the one that wrote the snapshot."""
-
     profiler: Optional[Profiler] = None
 
     checkpoint_dir: Optional[str] = None
@@ -271,15 +258,6 @@ class EngineConfig:
             raise ValueError("resume=True requires checkpoint_dir")
         # Resolve eagerly so configuration errors surface at call sites.
         get_kernel(self.kernel)
-        if isinstance(self.frontier_store, str):
-            get_frontier_store(self.frontier_store)
-        elif not (isinstance(self.frontier_store, type)
-                  and issubclass(self.frontier_store, FrontierStore)):
-            raise ValueError(
-                f"frontier_store must be a registered name "
-                f"{available_frontier_stores()} or a FrontierStore "
-                f"subclass, got {self.frontier_store!r}"
-            )
         if isinstance(self.backend, str):
             get_backend(self.backend)
         elif not isinstance(self.backend, ExecutorBackend):
@@ -292,9 +270,6 @@ class EngineConfig:
             from ..portfolio import get_strategy
 
             get_strategy(self.strategy)  # raises OrderingError if unknown
-
-
-_Entry = Union[FSState, Skeleton]
 
 
 @dataclass
@@ -350,6 +325,11 @@ def run_layered_sweep(
         precedence-constrained DP).  A feasible subset none of whose
         predecessors were feasible raises
         :class:`~repro.errors.OrderingError`.
+
+    The sweep does not track node structure: a ``base`` carrying
+    ``nodes`` raises ``ValueError`` (build diagrams with
+    :func:`repro.core.reconstruct.build_diagram` from the returned
+    order instead).
     """
     if config is None:
         config = EngineConfig()
@@ -358,6 +338,11 @@ def run_layered_sweep(
     kernel = get_kernel(config.kernel)
     profiler = config.profiler
 
+    if base.nodes is not None:
+        raise ValueError(
+            "run_layered_sweep does not track node structure; pass a base "
+            "state built without track_nodes"
+        )
     if universe_mask & base.mask:
         raise DimensionError(
             f"universe mask {universe_mask:#x} overlaps already-placed "
@@ -378,8 +363,7 @@ def run_layered_sweep(
     level_cost_by_choice: Dict[Tuple[int, int], int] = {}
     subsets_processed = 0
 
-    previous: FrontierStore = create_frontier_store(config.frontier_store)
-    previous.put(0, base)
+    previous = Layer.of_base(base)
     if upto == 0:
         return SweepOutcome(
             frontier={0: base},
@@ -419,11 +403,7 @@ def run_layered_sweep(
                   else nullcontext()):
                 restored = store.load_latest(upto)
             if restored is not None:
-                # Checkpoints hold entry dicts regardless of the store
-                # that wrote them; repack under the configured store so a
-                # resume may switch representations freely.
-                previous = create_frontier_store(config.frontier_store)
-                previous.extend(restored.entries)
+                previous = restored.frontier
                 mincost_by_subset = restored.mincost_by_subset
                 mincost_by_subset.setdefault(0, base.mincost)
                 best_last = restored.best_last
@@ -468,6 +448,8 @@ def run_layered_sweep(
                 for mask in subsets_of_size(universe_mask, k)
                 if subset_filter is None or subset_filter(mask)
             ]
+            if not layer_masks:
+                raise OrderingError(f"no feasible subset of size {k}")
             # The last layer is the caller-visible frontier and must carry
             # real tables; intermediate layers may keep skeletons.
             retain_full = (
@@ -513,12 +495,11 @@ def run_layered_sweep(
                     checkpoint_path=last_checkpoint_path,
                     where=where,
                 )
-            current = create_frontier_store(config.frontier_store)
             # Merge strictly in chunk order: results are keyed by
             # disjoint masks, and counter merge order is fixed, so the
             # outcome is independent of where the chunks ran.
+            current = Layer.concat([part.layer for part in parts])
             for part in parts:
-                current.absorb(part.entries, part.packed)
                 mincost_by_subset.update(part.mincost)
                 best_last.update(part.best_last)
                 level_cost_by_choice.update(part.level_cost)
@@ -541,7 +522,7 @@ def run_layered_sweep(
                       if profiler is not None else nullcontext()):
                     checkpoint_path = store.save_layer(
                         k=k,
-                        entries=current,
+                        frontier=current,
                         mincost_by_subset=mincost_by_subset,
                         best_last=best_last,
                         level_cost_by_choice=level_cost_by_choice,
@@ -567,9 +548,6 @@ def run_layered_sweep(
                             else None
                         ),
                         frontier_bytes=(
-                            # The store's own accounting — exact column
-                            # payload bytes for packed stores, the
-                            # documented estimate for dict stores.
                             current.nbytes()
                             if budget.max_frontier_bytes is not None
                             else None

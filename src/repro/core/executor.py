@@ -94,8 +94,8 @@ import numpy as np
 from .._bitops import bits_of
 from ..analysis.counters import OperationCounters
 from ..errors import ExecutorBrokenError, OrderingError
-from .checkpoint import RetryPolicy, Skeleton
-from .frontier import BaseOverlay, PackedFrontier, PackedSlice
+from .checkpoint import RetryPolicy
+from .frontier import Entry, Layer, Skeleton
 from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
@@ -104,22 +104,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from .checkpoint import FaultInjector
 
 KernelFn = Callable[..., FSState]
-Entry = Union[FSState, Skeleton]
-"""A frontier entry: a full state, or a ``(pi, mincost)`` skeleton under
-the mincost-only frontier policy."""
-
-PreviousLayer = Any
-"""The finished previous layer a chunk reads: a
-:class:`~repro.core.frontier.FrontierStore` (what the engine hands the
-backends), a plain ``mask -> entry`` dict (direct callers, tests), or a
-worker-side :class:`~repro.core.frontier.BaseOverlay`.  Chunk code only
-relies on ``.get(mask)``."""
-
-# Flat per-entry overhead charged by the shipping-volume estimate (dict
-# slot + dataclass header); deliberately a round constant so the
-# ``bytes_shipped`` tally is deterministic across interpreter builds.
-_ENTRY_OVERHEAD_BYTES = 64
-_SKELETON_BYTES = 32
 
 _WATCHER_POLL_SECONDS = 0.05
 
@@ -136,23 +120,17 @@ def _phase(profiler: Optional["Profiler"], name: str):
 class ChunkResult:
     """What one executed chunk reports back to the coordinator.
 
-    The engine merges these strictly in chunk order — entries are keyed
-    by disjoint masks and counter merge order is fixed, so the outcome is
+    The engine merges these strictly in chunk order — layers hold
+    disjoint masks and counter merge order is fixed, so the outcome is
     independent of scheduling (threads, processes, or inline).
     """
 
     index: int = 0
     """Position of the chunk within its layer's chunk list."""
 
-    entries: Dict[int, Entry] = field(default_factory=dict)
-    """Finished entries keyed by mask.  Empty when a process worker
-    shipped them back packed — see :attr:`packed`."""
-
-    packed: Optional[PackedSlice] = None
-    """Finished entries as contiguous packed columns: how process workers
-    under the packed frontier store ship results back without pickling
-    per-entry dataclasses.  ``entries`` and ``packed`` never overlap;
-    the engine's store absorbs whichever is present."""
+    layer: Optional[Layer] = None
+    """The chunk's finished subsets, in chunk order (``None`` when the
+    chunk was cancelled)."""
 
     mincost: Dict[int, int] = field(default_factory=dict)
     best_last: Dict[int, int] = field(default_factory=dict)
@@ -177,14 +155,14 @@ def split_chunks(items: Sequence[int], jobs: int) -> List[Sequence[int]]:
     return [chunk for chunk in out if chunk]
 
 
-def _fused(kernel_name: Optional[str], base: FSState) -> bool:
+def _fused(kernel_name: Optional[str]) -> bool:
     """Whether a chunk runs the fused layer kernel (see :func:`sweep_chunk`)."""
-    return kernel_name == "numpy" and base.nodes is None
+    return kernel_name == "numpy"
 
 
 def sweep_chunk(
     masks: Sequence[int],
-    previous: PreviousLayer,
+    previous: Layer,
     base: FSState,
     kernel: KernelFn,
     rule: ReductionRule,
@@ -200,30 +178,31 @@ def sweep_chunk(
     routine is the bit-identity anchor: every backend routes every chunk
     through it, so where a chunk ran can never change what it computed.
 
-    When ``kernel_name`` says the built-in ``numpy`` kernel is running
-    and node structure is not tracked, the chunk runs the fused layer
-    kernel (:func:`repro.core.compaction.compact_layer`) — same results,
-    same counters, one numpy pass per bit position instead of one kernel
-    call per candidate.  Every other combination (the ``python`` spec
-    kernel, custom kernels, node tracking) runs the scalar
-    per-candidate loop below.
+    When ``kernel_name`` says the built-in ``numpy`` kernel is running,
+    the chunk runs the fused layer kernel
+    (:func:`repro.core.compaction.compact_layer`) — same results, same
+    counters, one numpy pass per bit position instead of one kernel call
+    per candidate.  Every other kernel (the ``python`` spec kernel,
+    custom kernels) runs the scalar per-candidate loop below, which
+    reads predecessors through :meth:`~repro.core.frontier.Layer.get`.
 
     ``should_stop`` (the process workers' view of the mirrored
     cancellation event) is polled between masks by the scalar loop and
     between batches by the fused kernel; a stopped chunk returns with
     ``cancelled=True`` and incomplete results.
     """
-    if _fused(kernel_name, base):
+    if _fused(kernel_name):
         from .compaction import compact_layer  # compaction imports this module
 
         return compact_layer(
             masks, previous, base, rule, retain_full, counters, should_stop
         )
     out = ChunkResult(counters=counters)
+    entries: List[Entry] = []
     for mask in masks:
         if should_stop is not None and should_stop():
             out.cancelled = True
-            break
+            return out
         best: Optional[FSState] = None
         best_i = -1
         for i in bits_of(mask):
@@ -242,13 +221,14 @@ def sweep_chunk(
             raise OrderingError(
                 f"no feasible chain reaches subset {mask:#x}"
             )
-        out.entries[mask] = (
+        entries.append(
             best if retain_full else Skeleton(pi=best.pi, mincost=best.mincost)
         )
         out.mincost[mask] = best.mincost
         out.best_last[mask] = best_i
         out.processed += 1
         counters.subsets_processed += 1
+    out.layer = Layer.from_entries(base, masks, entries)
     return out
 
 
@@ -358,7 +338,7 @@ class ExecutorBackend(abc.ABC):
         self,
         layer: int,
         chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        previous: Layer,
         retain_full: bool,
     ) -> List[ChunkResult]:
         """Execute one layer's chunks; return results in chunk order."""
@@ -397,7 +377,7 @@ class ExecutorBackend(abc.ABC):
     def _run_inline(
         self,
         chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        previous: Layer,
         retain_full: bool,
     ) -> List[ChunkResult]:
         context, kernel = self._context, self._kernel
@@ -537,7 +517,7 @@ class SerialBackend(ExecutorBackend):
         self,
         layer: int,
         chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        previous: Layer,
         retain_full: bool,
     ) -> List[ChunkResult]:
         return self._run_inline(chunks, previous, retain_full)
@@ -571,7 +551,7 @@ class ThreadBackend(ExecutorBackend):
         self,
         layer: int,
         chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        previous: Layer,
         retain_full: bool,
     ) -> List[ChunkResult]:
         if len(chunks) <= 1:
@@ -620,17 +600,12 @@ class ChunkTask:
     The base table travels *once per sweep* through shared memory
     (``shm_name`` + ``base_spec`` let every worker rebuild the base
     state and cache it under ``token``); the task itself carries only
-    the chunk's masks and the predecessor entries those masks actually
-    read — full states under the FULL frontier policy, ``(pi, mincost)``
-    skeletons under MINCOST_ONLY (workers replay them from the shared
-    base exactly as the in-process backends do, so the ``recompute_*``
+    the chunk's masks and :attr:`previous`, the rows of the previous
+    layer those masks actually read (:meth:`~repro.core.frontier.Layer
+    .take`) — tables under the FULL frontier policy, ``(pi, mincost)``
+    columns under MINCOST_ONLY (workers replay them from the shared base
+    exactly as the in-process backends do, so the ``recompute_*``
     counters stay bit-identical).
-
-    With a packed frontier store the predecessors travel as one
-    :class:`~repro.core.frontier.PackedSlice` (:attr:`packed`) instead of
-    a pickled dict of dataclasses — flat byte columns at the layer's
-    narrow table width — which is what shrinks the ``bytes_shipped``
-    tally; :attr:`entries` is then empty.
     """
 
     token: str
@@ -641,10 +616,9 @@ class ChunkTask:
     layer: int
     index: int
     masks: Tuple[int, ...]
-    entries: Dict[int, Entry]
+    previous: Layer
     retain_full: bool
     payload_bytes: int = 0
-    packed: Optional[PackedSlice] = None
 
     kill_self: Optional[str] = None
     """Injected process-level fault (tests/CI only): ``"before"`` makes
@@ -764,17 +738,11 @@ def _run_chunk_task(task: ChunkTask) -> ChunkResult:
         # what the OOM killer delivers.  The pool goes BrokenProcessPool.
         os.kill(os.getpid(), signal.SIGKILL)
     _, _, base, kernel, rule = _worker_bind_sweep(task)
-    previous: PreviousLayer
-    if task.packed is not None:
-        # The base entry never ships; it lives in shm.
-        previous = BaseOverlay(base, PackedFrontier.from_slice(task.packed))
-    else:
-        previous = dict(task.entries)
-        previous[0] = base
+    previous = task.previous
     cancel = _WORKER_CANCEL
     should_stop = cancel.is_set if cancel is not None else None
     if task.kill_self == "during":
-        if _fused(task.kernel, base):
+        if _fused(task.kernel):
             from .compaction import fused_polls
 
             polls = fused_polls(task.masks, previous, base,
@@ -789,11 +757,6 @@ def _run_chunk_task(task: ChunkTask) -> ChunkResult:
         kernel_name=task.kernel,
     )
     out.index = task.index
-    if task.packed is not None and out.entries and base.nodes is None:
-        # Packed in, packed out: ship the results as flat columns too.
-        store = PackedFrontier()
-        store.extend(out.entries)
-        out.packed, out.entries = store.to_slice(), {}
     return out
 
 
@@ -836,8 +799,8 @@ class ProcessBackend(ExecutorBackend):
 
     Per sweep, the base table is copied once into a
     :class:`multiprocessing.shared_memory.SharedMemory` segment; per
-    layer, each chunk ships only its masks plus the predecessor entries
-    it reads (see :class:`ChunkTask`).  Shipping volume is tallied in
+    layer, each chunk ships only its masks plus the predecessor rows it
+    reads (see :class:`ChunkTask`).  Shipping volume is tallied in
     the ``tasks_shipped`` / ``bytes_shipped`` extra counters and the
     submit/collect wall-clock under the ``ipc_submit`` / ``ipc_merge``
     profiler phases.
@@ -928,7 +891,7 @@ class ProcessBackend(ExecutorBackend):
         self,
         layer: int,
         chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        previous: Layer,
         retain_full: bool,
     ) -> List[ChunkResult]:
         if len(chunks) <= 1:
@@ -982,7 +945,7 @@ class ProcessBackend(ExecutorBackend):
         self,
         layer: int,
         chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        previous: Layer,
         retain_full: bool,
         results: List[Optional[ChunkResult]],
     ) -> None:
@@ -1032,41 +995,20 @@ class ProcessBackend(ExecutorBackend):
         layer: int,
         index: int,
         chunk: Sequence[int],
-        previous: PreviousLayer,
+        previous: Layer,
         retain_full: bool,
     ) -> ChunkTask:
         context = self._context
         assert context is not None and self._base_spec is not None
         assert self._sweep_token is not None and self._shm is not None
-        # Predecessor masks this chunk actually reads, in first-use order
-        # (mask 0 never ships; the base lives in shared memory).
-        order: List[int] = []
-        seen = set()
+        # Predecessor rows this chunk actually reads, in first-use order.
+        order: Dict[int, None] = {}
         for mask in chunk:
             for i in bits_of(mask):
                 pmask = mask & ~(1 << i)
-                if pmask == 0 or pmask in seen or pmask not in previous:
-                    continue
-                seen.add(pmask)
-                order.append(pmask)
-        packed: Optional[PackedSlice] = None
-        needed: Dict[int, Entry] = {}
-        payload = len(chunk) * 8
-        ship = getattr(previous, "ship_slice", None)
-        if ship is not None:
-            packed = ship(order)
-        if packed is not None:
-            # Packed shipping: the payload is the slice's exact byte
-            # size — this is the bytes_shipped reduction.
-            payload += packed.nbytes
-        else:
-            for pmask in order:
-                entry = previous.get(pmask)
-                needed[pmask] = entry
-                if isinstance(entry, FSState):
-                    payload += int(entry.table.nbytes) + _ENTRY_OVERHEAD_BYTES
-                else:
-                    payload += _SKELETON_BYTES
+                if pmask in previous:
+                    order.setdefault(pmask)
+        shipped = previous.take(list(order))
         kill_self: Optional[str] = None
         if context.fault_injector is not None:
             kill_self = context.fault_injector.take_worker_kill(layer, index)
@@ -1079,10 +1021,9 @@ class ProcessBackend(ExecutorBackend):
             layer=layer,
             index=index,
             masks=tuple(chunk),
-            entries=needed,
+            previous=shipped,
             retain_full=retain_full,
-            payload_bytes=payload,
-            packed=packed,
+            payload_bytes=len(chunk) * 8 + shipped.nbytes(),
             kill_self=kill_self,
         )
 

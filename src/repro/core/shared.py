@@ -107,7 +107,6 @@ def run_fs_shared(
     jobs: int = 1,
     backend: "str | ExecutorBackend" = "thread",
     frontier: str | FrontierPolicy = FrontierPolicy.FULL,
-    frontier_store: str = "dict",
     profiler: Optional[Profiler] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
@@ -136,7 +135,6 @@ def run_fs_shared(
         counters = OperationCounters()
     config = EngineConfig(
         kernel=engine, jobs=jobs, backend=backend, frontier=frontier,
-        frontier_store=frontier_store,
         profiler=profiler, checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, cache=cache,
         budget=budget, io_retry=io_retry,

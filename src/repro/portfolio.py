@@ -3,29 +3,27 @@
 The exact FS-family DP certifies optima but costs ``O*(3^n)``; the
 heuristics literature the paper's introduction surveys trades that
 certificate for speed.  This module makes the inexact side a first-class
-subsystem, mirroring the kernel / backend / frontier-store registries:
+subsystem, mirroring the kernel and backend registries:
 every heuristic registers under a name (:func:`register_strategy`), runs
 standalone (:func:`run_strategy`) under a :class:`~repro.core.budget.Budget`,
 or races against the whole field (:func:`run_portfolio`) with a
 deterministic winner — best size, ties broken by the lexicographically
 lowest strategy name — independent of ``jobs`` and backend.
 
-It is also the canonical home of Rudell sifting.  The repo historically
-grew two independent implementations (the evaluation-level
-``repro.bdd.reorder.sift`` and the swap-level
-``ReorderingBDD.sift``); both now delegate to one schedule driver,
-:func:`run_sift_schedule`, parameterized over a *substrate*:
+It is also the canonical home of Rudell sifting: the evaluation-level
+:func:`sift_search` and the swap-level ``ReorderingBDD.sift`` both run
+one schedule driver, :func:`run_sift_schedule`, parameterized over a
+*substrate*:
 
 * :class:`TableSiftSubstrate` scores candidate orderings with an exact
-  size oracle (the historical ``reorder.sift`` behaviour, preserved
-  bit-identically: same schedule, same candidate sequence, same
-  evaluation and trajectory accounting), and generalizes to *group*
+  size oracle (same schedule, same candidate sequence, same evaluation
+  and trajectory accounting as classic sifting), and generalizes to *group*
   sifting — blocks of variables moved as one unit, which is how the
   symmetric-sifting strategy exploits
   :func:`repro.analysis.symmetry.symmetry_classes`.
 * :class:`SwapSiftSubstrate` walks a live
   :class:`~repro.bdd.swap.ReorderingBDD` with real adjacent level swaps
-  (the historical ``ReorderingBDD.sift`` behaviour, also preserved).
+  (the ``ReorderingBDD.sift`` behaviour).
 
 Registered strategies (see ``repro portfolio`` on the CLI):
 
@@ -318,8 +316,8 @@ def window_permutation_search(
     and replaces its contents with the best of the ``window!``
     permutations.  Rounds repeat until no window improves.  The
     registered ``window3``/``window4`` strategies use the strictly
-    stronger exact-window sweep instead; this survives as the historical
-    baseline behind :func:`repro.bdd.reorder.window_permute`.
+    stronger exact-window sweep instead; this survives as the classic
+    baseline the benchmarks compare against.
     """
     n = table.n
     if window < 2:
@@ -426,7 +424,6 @@ class StrategyContext:
     engine: str = "numpy"
     jobs: int = 1
     backend: Any = "serial"
-    frontier_store: Any = "dict"
     cache: Optional[Any] = None
     profiler: Optional[Any] = None
     seed: int = 0
@@ -634,7 +631,6 @@ def _window_strategy(width: int) -> Callable[[StrategyContext], _Outcome]:
             kernel=ctx.engine,
             jobs=ctx.jobs,
             backend=ctx.backend,
-            frontier_store=ctx.frontier_store,
             cache=ctx.cache,
             profiler=ctx.profiler,
             budget=ctx.budget,
@@ -780,8 +776,7 @@ def run_strategy(
 ) -> StrategyResult:
     """Run one registered strategy standalone under a budget.
 
-    Engine knobs (kernel, jobs, backend, frontier store, cache,
-    profiler) come from ``config`` (an
+    Engine knobs (kernel, jobs, backend, cache, profiler) come from ``config`` (an
     :class:`~repro.core.engine.EngineConfig`); ``budget`` overrides
     ``config.budget``.  A deadline or frontier-cap abort returns the
     best-so-far ordering with ``status="budget_exceeded"`` — its size
@@ -804,7 +799,6 @@ def run_strategy(
         engine=config.kernel,
         jobs=config.jobs,
         backend=config.backend,
-        frontier_store=config.frontier_store,
         cache=config.cache,
         profiler=config.profiler,
         seed=seed,
@@ -903,7 +897,6 @@ def run_portfolio(
         kernel=config.kernel,
         jobs=config.jobs,
         backend=backend_obj,
-        frontier_store=config.frontier_store,
         cache=config.cache,
         profiler=config.profiler,
     )

@@ -182,7 +182,6 @@ class ServeConfig:
     """Worker width of the warm pool (layer parallelism per sweep)."""
 
     engine: str = "numpy"
-    frontier_store: str = "dict"
 
     cache_dir: Optional[str] = None
     """Optional on-disk store for the shared result cache
@@ -620,7 +619,6 @@ class OrderingServer:
         cm = shared_backend(
             EngineConfig(kernel=config.engine, jobs=config.jobs,
                          backend=config.backend,
-                         frontier_store=config.frontier_store,
                          max_pool_rebuilds=config.max_pool_rebuilds)
         )
         self._backend = cm.__enter__().backend
@@ -1305,7 +1303,6 @@ class OrderingServer:
                     engine=config.engine,
                     jobs=config.jobs,
                     backend=backend,
-                    frontier_store=config.frontier_store,
                     cache=self.cache,
                     budget=sub,
                 )
@@ -1318,7 +1315,6 @@ class OrderingServer:
                     engine=config.engine,
                     jobs=config.jobs,
                     backend=backend,
-                    frontier_store=config.frontier_store,
                     cache=self.cache,
                     budget=sub,
                     **prepared.solve_kwargs,
@@ -1431,7 +1427,6 @@ class OrderingServer:
                 "backend": self.config.backend,
                 "jobs": self.config.jobs,
                 "engine": self.config.engine,
-                "frontier_store": self.config.frontier_store,
                 "queue_limit": self.config.queue_limit,
                 "max_inflight": self.config.max_inflight,
                 "default_timeout": self.config.default_timeout,

@@ -170,7 +170,7 @@ class TestInPlaceSift:
         # The swap-based and truth-table-based sifting explore the same
         # neighbourhood; sizes must agree on a symmetric function where
         # every path leads to the unique optimum.
-        from repro.bdd import sift as eval_sift
+        from repro.portfolio import sift_search as eval_sift
         from repro.functions import parity
 
         tt = parity(5)

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import random
 
 import pytest
 
@@ -490,9 +491,20 @@ class TestBatchOptimize:
 class TestResourceGovernance:
     """--timeout / --max-frontier-mb / --fallback / --max-retries."""
 
-    def heavy_pla(self, tmp_path, n=12, seed=3):
+    def heavy_pla(self, tmp_path, n=15, seed=3):
+        """A 24-cube random PLA over ``n`` variables.  At n=15 its
+        uninterrupted exact solve takes about 2.3 s on a 2-core VM —
+        46x the 0.05 s timeout these tests give it — and, unlike a
+        minterm listing of a random n=15 table, it parses instantly."""
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(24):
+            cube = ["-"] * n
+            for var in rng.sample(range(n), rng.randint(4, 7)):
+                cube[var] = rng.choice("01")
+            rows.append("".join(cube) + " 1")
         path = tmp_path / f"heavy{n}.pla"
-        path.write_text(write_pla(TruthTable.random(n, seed=seed)))
+        path.write_text("\n".join([f".i {n}", ".o 1", *rows, ".e", ""]))
         return str(path)
 
     def test_timeout_without_fallback_is_a_clean_error(self, run, tmp_path):
@@ -547,7 +559,11 @@ class TestResourceGovernance:
         assert "uncertified" in err
 
     def test_certify_rejects_inexact_result(self, run, tmp_path):
-        code, _, err = run("certify", "--pla", self.heavy_pla(tmp_path),
+        # Certificates need n <= 12, where the numpy DP finishes in about
+        # 0.1 s; the python spec kernel needs over 3 s for five of the
+        # twelve layers, so the 0.05 s deadline is always hit.
+        code, _, err = run("certify", "--pla", self.heavy_pla(tmp_path, 12),
+                           "--engine", "python",
                            "--timeout", "0.05", "--fallback",
                            "--out", str(tmp_path / "cert.json"))
         assert code == 2
@@ -575,7 +591,7 @@ class TestResourceGovernance:
             self, run, tmp_path):
         self.heavy_pla(tmp_path)
         path = self.manifest(tmp_path, [
-            {"pla": "heavy12.pla", "label": "slow"},
+            {"pla": "heavy15.pla", "label": "slow"},
             {"expr": "x0 & x1", "label": "fast"},
         ])
         code, out, _ = run("optimize", "--batch", path, "--timeout", "0.05")
@@ -587,7 +603,7 @@ class TestResourceGovernance:
     def test_batch_timeout_with_fallback_tags_rung(self, run, tmp_path):
         self.heavy_pla(tmp_path)
         path = self.manifest(tmp_path, [
-            {"pla": "heavy12.pla", "label": "slow"},
+            {"pla": "heavy15.pla", "label": "slow"},
             {"expr": "x0 & x1", "label": "fast"},
         ])
         code, out, _ = run("optimize", "--batch", path,

@@ -10,6 +10,7 @@ checkpoint must raise :class:`~repro.errors.CheckpointError` naming the
 offending file, never resume silently.
 """
 
+import base64
 import hashlib
 import json
 import shutil
@@ -477,7 +478,7 @@ class TestColumnarCodec:
         run_fs_shared(self.TABLES, checkpoint_dir=str(tmp_path))
         newest = sorted(tmp_path.glob("ckpt_*_layer_*.json"))[-1]
         document = json.loads(newest.read_text())
-        assert document["format"] == FORMAT_VERSION == 2
+        assert document["format"] == FORMAT_VERSION == 3
         payload = document["payload"]
         for name, width in (("mincost_by_subset", 1), ("best_last", 1),
                             ("level_cost_by_choice", 2)):
@@ -542,6 +543,80 @@ class TestColumnarCodec:
                        "checksum": hashlib.sha256(
                            canonical.encode()).hexdigest(),
                        "payload": payload}, handle, sort_keys=True)
+        assert store.layers_on_disk() == []
+        resumed = run_fs_shared(self.TABLES, counters=OperationCounters(),
+                                checkpoint_dir=str(tmp_path), resume=True)
+        assert_same_result(resumed, clean)
+        assert old_path.exists()
+
+
+class TestLayerPayload:
+    """Format 3: the frontier layer travels as one columnar payload."""
+
+    TABLES = TestColumnarCodec.TABLES
+
+    def _crashed_after(self, directory, k):
+        with pytest.raises(InjectedFault):
+            run_fs_shared(self.TABLES, checkpoint_dir=str(directory),
+                          fault_injector=FaultInjector(kill_after_layer=k))
+        return sorted(directory.glob("ckpt_*_layer_*.json"))[-1]
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda blob: blob["columns"].__setitem__(
+            3, blob["columns"][3][:-12]), "bytes"),
+        (lambda blob: blob["columns"].__setitem__(0, "!!not*base64!!"),
+         "malformed"),
+        (lambda blob: blob.__setitem__("count", blob["count"] + 1),
+         "bytes"),
+        (lambda blob: blob.__setitem__("pi_len", blob["pi_len"] + 1),
+         "pi_len"),
+        (lambda blob: blob.__setitem__("cells", blob["cells"] * 2),
+         "cells"),
+        (lambda blob: blob["columns"].pop(), "columns"),
+        (lambda blob: blob["dtypes"].__setitem__(1, "<u8"), "dtype"),
+        (lambda blob: blob.pop("pi_len"), "pi_len"),
+    ])
+    def test_malformed_layer_names_the_file(self, tmp_path, damage,
+                                            message):
+        newest = self._crashed_after(tmp_path, 3)
+        _rewrite_payload(newest, lambda p: damage(p["frontier"]))
+        with pytest.raises(CheckpointError, match=message) as excinfo:
+            run_fs_shared(self.TABLES, checkpoint_dir=str(tmp_path),
+                          resume=True)
+        assert str(newest) in str(excinfo.value)
+
+    def test_negative_table_cell_is_rejected(self, tmp_path):
+        newest = self._crashed_after(tmp_path, 3)
+
+        def negate(payload):
+            blob = payload["frontier"]
+            raw = bytearray(base64.b64decode(blob["columns"][3]))
+            raw[-1] = 0xFF  # the top byte of the last cell: negative
+            blob["columns"][3] = base64.b64encode(bytes(raw)).decode()
+
+        _rewrite_payload(newest, negate)
+        with pytest.raises(CheckpointError, match="non-negative"):
+            run_fs_shared(self.TABLES, checkpoint_dir=str(tmp_path),
+                          resume=True)
+
+    def test_format_2_file_is_ignored(self, tmp_path):
+        # A file the previous writer left for this very sweep: per-entry
+        # "entries" list, format 2 in the fingerprint and so in the name.
+        clean = run_fs_shared(self.TABLES, counters=OperationCounters())
+        store = _shared_store(self.TABLES, tmp_path)
+        old_fingerprint = dict(store.fingerprint, format=2)
+        old_path = tmp_path / (
+            f"ckpt_{fingerprint_hash(old_fingerprint)}_layer_0003.json")
+        write_checked_json(str(old_path), {
+            "fingerprint": old_fingerprint,
+            "layer": 3,
+            "mincost_by_subset": checkpoint_module._encode_map({0: 0}, 1),
+            "best_last": checkpoint_module._encode_map({}, 1),
+            "level_cost_by_choice": checkpoint_module._encode_map({}, 2),
+            "subsets_processed": 0,
+            "counter_delta": {},
+            "entries": [],
+        })
         assert store.layers_on_disk() == []
         resumed = run_fs_shared(self.TABLES, counters=OperationCounters(),
                                 checkpoint_dir=str(tmp_path), resume=True)

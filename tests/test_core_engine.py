@@ -243,6 +243,15 @@ class TestSweepContract:
         with pytest.raises(DimensionError):
             run_layered_sweep(placed, 0b0010)
 
+    def test_empty_layer_rejected(self):
+        from repro.errors import OrderingError
+
+        tt = TruthTable.random(4, seed=23)
+        with pytest.raises(OrderingError, match="no feasible subset of "
+                                                "size 2"):
+            run_layered_sweep(initial_state(tt), 0b1111,
+                              subset_filter=lambda m: m.bit_count() != 2)
+
     def test_upto_zero_returns_base(self):
         tt = TruthTable.random(4, seed=29)
         state = initial_state(tt)

@@ -1,17 +1,20 @@
-"""Tests for the pluggable frontier stores (:mod:`repro.core.frontier`).
+"""Tests for the columnar frontier layer (:class:`repro.core.frontier.Layer`).
 
-The store contract: a frontier store changes *where the retained layer's
-bytes live*, never what the sweep computes.  ``DictFrontier`` (the
-historical dict of entries) and ``PackedFrontier`` (bit-packed columns)
-must produce bit-identical results AND operation counters across every
-``kernel x backend x jobs x FrontierPolicy`` cell; checkpoints written
-under either store must resume under the other; and the packed store's
-byte accounting must be exact — deterministic enough for the budget's
-frontier cap to abort at the same layer under every backend.
+The layer contract: one finished DP layer is four columns — masks, costs,
+placement chains and (for full layers) a ``tables[P, cells]`` matrix in
+the narrowest unsigned dtype holding the layer's maximum cell.  Its byte
+accounting is the exact size of those arrays, its dtype (and so its
+bytes, and the budget's frontier-cap aborts) is the same under every
+backend and job count, ``get`` hands the per-candidate loop ``int64``
+tables equal to the ones the kernel produced, and checkpoints round-trip
+it exactly.
 
 Process-backed tests share one module-scoped ``ProcessBackend`` so the
 interpreter-spawn cost is paid once, not per test.
 """
+
+import json
+import pickle
 
 import numpy as np
 import pytest
@@ -19,41 +22,25 @@ import pytest
 from repro.analysis.counters import OperationCounters
 from repro.core import (
     Budget,
-    DictFrontier,
     EngineConfig,
     FaultInjector,
-    FrontierStore,
     InjectedFault,
-    PackedFrontier,
+    Layer,
     ProcessBackend,
     available_frontier_stores,
-    create_frontier_store,
-    get_frontier_store,
-    register_frontier_store,
+    initial_state,
     run_fs,
     run_fs_constrained,
     run_fs_shared,
 )
 from repro.core import frontier as frontier_module
 from repro.core.checkpoint import Skeleton
-from repro.core.frontier import (
-    BaseOverlay,
-    _decode_cells,
-    _encode_cells,
-    _row_bytes,
-)
+from repro.core.compaction import compact_python
+from repro.core.engine import run_layered_sweep
+from repro.core.frontier import narrowest_table_dtype
 from repro.core.spec import FSState, ReductionRule
 from repro.errors import BudgetExceeded
-from repro.observability import STATE_OVERHEAD_BYTES, frontier_nbytes
 from repro.truth_table import TruthTable
-
-
-def paper_counters(counters):
-    """Counter snapshot minus the process backend's transport tallies."""
-    snap = counters.snapshot()
-    snap.pop("tasks_shipped", None)
-    snap.pop("bytes_shipped", None)
-    return snap
 
 
 @pytest.fixture(scope="module")
@@ -64,248 +51,251 @@ def process_pool():
     backend.close()
 
 
-def make_state(mask, pi, mincost, table, num_terminals=2, num_roots=1,
-               nodes=None):
+def make_state(mask, pi, mincost, table, num_terminals=2, num_roots=1):
     """An FSState with ``n`` derived so the table shape validates."""
     table = np.asarray(table, dtype=np.int64)
     n = int(mask).bit_count() + (len(table) // num_roots).bit_length() - 1
     return FSState(n=n, mask=mask, pi=pi, mincost=mincost, table=table,
-                   num_terminals=num_terminals, nodes=nodes,
-                   num_roots=num_roots)
+                   num_terminals=num_terminals, num_roots=num_roots)
+
+
+def record_layers(monkeypatch):
+    """Capture every layer the engine assembles (one per cardinality)."""
+    layers = []
+    original = Layer.concat
+
+    def spy(parts):
+        layer = original(parts)
+        layers.append(layer)
+        return layer
+
+    monkeypatch.setattr(frontier_module.Layer, "concat", staticmethod(spy))
+    return layers
 
 
 # ----------------------------------------------------------------------
-# registry + config plumbing
+# the one legal store name
 # ----------------------------------------------------------------------
 
 class TestStoreRegistry:
     def test_builtins_registered(self):
-        assert available_frontier_stores() == ["dict", "packed"]
-        assert get_frontier_store("dict") is DictFrontier
-        assert get_frontier_store("packed") is PackedFrontier
+        assert available_frontier_stores() == ["dict"]
 
     def test_unknown_store_raises_with_choices(self):
-        with pytest.raises(ValueError, match="packed"):
-            get_frontier_store("gpu")
-        with pytest.raises(ValueError):
-            run_fs(TruthTable.random(2, seed=0), frontier_store="gpu")
+        from repro import solve
 
-    def test_config_validates_store(self):
-        with pytest.raises(ValueError):
-            EngineConfig(frontier_store="nope")
-        with pytest.raises(ValueError):
-            EngineConfig(frontier_store=42)
-        assert EngineConfig(frontier_store="packed").frontier_store == "packed"
-        assert (
-            EngineConfig(frontier_store=PackedFrontier).frontier_store
-            is PackedFrontier
-        )
+        for name in ("packed", "gpu"):
+            with pytest.raises(ValueError, match="dict"):
+                solve(TruthTable.random(2, seed=0), frontier_store=name)
 
-    def test_custom_store_registrable(self):
-        @register_frontier_store("counting")
-        class CountingFrontier(DictFrontier):
-            name = "counting"
-            puts = 0
 
-            def put(self, mask, entry):
-                type(self).puts += 1
-                super().put(mask, entry)
+class TestParityMatrix:
+    TABLE = TruthTable.random(6, seed=13)
 
-        try:
-            tt = TruthTable.random(4, seed=4)
-            result = run_fs(tt, frontier_store="counting")
-            assert result.mincost == run_fs(tt, frontier_store="dict").mincost
-            assert CountingFrontier.puts > 0
-            assert isinstance(
-                create_frontier_store("counting"), CountingFrontier
+    @pytest.mark.parametrize("rule", [ReductionRule.BDD, ReductionRule.ZDD,
+                                      ReductionRule.CBDD])
+    def test_python_kernel_parity_per_rule(self, rule):
+        results = {}
+        for engine in ("numpy", "python"):
+            counters = OperationCounters()
+            result = run_fs(self.TABLE, rule=rule, engine=engine,
+                            counters=counters)
+            results[engine] = (
+                result.order, result.mincost, counters.snapshot()
             )
-        finally:
-            del frontier_module._STORES["counting"]
+        assert results["numpy"] == results["python"]
 
-    def test_create_from_class(self):
-        assert isinstance(create_frontier_store(PackedFrontier),
-                          PackedFrontier)
-        with pytest.raises(ValueError):
-            create_frontier_store(object)
+    def test_shared_and_constrained_parity(self):
+        # The fused kernel (gathering from the layer's table matrix) and
+        # the spec kernel (reading the layer through get) agree.
+        tables = [TruthTable.random(5, seed=s) for s in (1, 2)]
+
+        def solve_both(engine):
+            shared = run_fs_shared(tables, engine=engine)
+            constrained = run_fs_constrained(self.TABLE, [(0, 3)],
+                                             engine=engine)
+            return (shared.order, shared.mincost, shared.counters,
+                    constrained.order, constrained.mincost,
+                    constrained.counters)
+
+        assert solve_both("numpy") == solve_both("python")
+
+    def test_solve_front_door_accepts_store(self):
+        from repro import solve
+
+        a = solve(self.TABLE, frontier_store="dict")
+        b = solve(self.TABLE)
+        assert (a.order, a.mincost) == (b.order, b.mincost)
+        assert a.counters == b.counters
 
 
 # ----------------------------------------------------------------------
-# store round-trip semantics
+# the layer's packed columns round-trip exactly
 # ----------------------------------------------------------------------
 
 class TestPackedRoundTrip:
     def test_full_states_reconstruct_exactly(self):
-        store = PackedFrontier()
-        s1 = make_state(0b0001, (0,), 3, [0, 1, 2, 3, 4, 5, 6, 7])
-        s2 = make_state(0b0010, (1,), 2, [7, 6, 5, 4, 3, 2, 1, 0])
-        store.put(0b0001, s1)
-        store.put(0b0010, s2)
-        assert len(store) == 2
-        assert 0b0001 in store and 0b0100 not in store
-        assert store.masks() == [0b0001, 0b0010]
-        assert store.min_mincost() == 2
-        got = store.get(0b0001)
-        assert isinstance(got, FSState)
-        assert (got.n, got.mask, got.pi, got.mincost) == (4, 0b0001, (0,), 3)
-        assert got.num_terminals == 2 and got.num_roots == 1
-        np.testing.assert_array_equal(got.table, s1.table)
-        np.testing.assert_array_equal(store.get(0b0010).table, s2.table)
-        assert store.get(0b1000) is None
+        base = make_state(0, (), 0, list(range(16)))
+        states = [make_state(m, (m.bit_length() - 1,), m, [m, 0, 5, 1] * 2)
+                  for m in (0b0001, 0b0100, 0b0010)]
+        layer = Layer.from_entries(base, [1, 4, 2], states)
+        assert len(layer) == 3 and 4 in layer and 8 not in layer
+        assert layer.tables.dtype == np.uint8
+        assert [m for m, _ in layer.items()] == [1, 4, 2]
+        assert layer.min_mincost() == 1
+        for state in states:
+            got = layer.get(state.mask)
+            assert got.table.dtype == np.int64
+            np.testing.assert_array_equal(got.table, state.table)
+            assert (got.n, got.mask, got.pi, got.mincost) == (
+                state.n, state.mask, state.pi, state.mincost)
+        assert layer.get(8) is None
 
     def test_skeletons_reconstruct_exactly(self):
-        store = PackedFrontier()
-        store.put(0b011, Skeleton(pi=(0, 1), mincost=5))
-        store.put(0b101, Skeleton(pi=(2, 0), mincost=4))
-        assert store.get(0b011) == Skeleton(pi=(0, 1), mincost=5)
-        assert store.get(0b101) == Skeleton(pi=(2, 0), mincost=4)
-        assert store.min_mincost() == 4
-
-    def test_insertion_order_survives_entry_dict(self):
-        store = PackedFrontier()
-        masks = [0b100, 0b001, 0b010]
-        for m in masks:
-            store.put(m, make_state(m, (m.bit_length() - 1,), 1, [0, 1]))
-        assert list(store.to_entry_dict()) == masks
-        assert [m for m, _ in store.items()] == masks
+        base = make_state(0, (), 0, list(range(8)))
+        skeletons = [Skeleton(pi=(0, 1), mincost=5),
+                     Skeleton(pi=(2, 0), mincost=4)]
+        layer = Layer.from_entries(base, [0b011, 0b101], skeletons)
+        assert layer.tables is None
+        assert layer.get(0b011) == skeletons[0]
+        assert layer.get(0b101) == skeletons[1]
+        assert layer.min_mincost() == 4
 
     def test_width_is_insertion_order_independent(self):
-        # The packed width must converge on bit_length(layer max) no
-        # matter the arrival order — that is what makes nbytes() (and so
-        # budget aborts) deterministic across backends and job counts.
-        wide = make_state(0b01, (0,), 1, [0, 1000, 2, 3])
-        narrow = make_state(0b10, (1,), 1, [0, 1, 2, 3])
-        a = PackedFrontier()
-        a.put(0b01, wide)
-        a.put(0b10, narrow)
-        b = PackedFrontier()
-        b.put(0b10, narrow)
-        b.put(0b01, wide)
-        assert a._bits == b._bits == 10
+        # A layer's dtype converges on the one its maximum needs however
+        # its chunks are ordered: that is what makes nbytes() (and so
+        # budget aborts) the same across backends and job counts.
+        base = make_state(0, (), 0, list(range(8)))
+        narrow = Layer.from_entries(
+            base, [1, 2], [make_state(m, (m - 1,), 1, [m, 0, 1, 2])
+                           for m in (1, 2)])
+        wide = Layer.from_entries(
+            base, [4], [make_state(4, (2,), 9, [0, 700, 0, 0])])
+        a = Layer.concat([narrow, wide])
+        b = Layer.concat([wide, narrow])
+        assert a.tables.dtype == b.tables.dtype == narrowest_table_dtype(700)
         assert a.nbytes() == b.nbytes()
-        np.testing.assert_array_equal(a.get(0b10).table, narrow.table)
-        np.testing.assert_array_equal(b.get(0b01).table, wide.table)
+        np.testing.assert_array_equal(a.get(1).table, [1, 0, 1, 2])
+        np.testing.assert_array_equal(b.get(4).table, [0, 700, 0, 0])
 
     def test_layer_homogeneity_enforced(self):
-        store = PackedFrontier()
-        store.put(0b01, make_state(0b01, (0,), 1, [0, 1, 2, 3]))
-        with pytest.raises(ValueError, match="homogeneous"):
-            store.put(0b10, make_state(0b10, (1,), 1, [0, 1]))
+        base = make_state(0, (), 0, list(range(8)))
+        with pytest.raises(ValueError, match="disagree"):
+            Layer(n=3, num_terminals=2, num_roots=1, base_mask=0,
+                  masks=[1, 2], costs=[1], pis=[[0], [1]])
+        with pytest.raises(ValueError, match="one row per mask"):
+            Layer(n=3, num_terminals=2, num_roots=1, base_mask=0,
+                  masks=[1], costs=[1], pis=[[0]],
+                  tables=np.zeros((2, 4), dtype=np.int64))
+        two = Layer.from_entries(base, [1], [make_state(1, (0,), 1,
+                                                        [0, 1, 2, 3])])
+        one = Layer.from_entries(base, [3], [make_state(3, (0, 1), 1,
+                                                        [0, 1])])
+        with pytest.raises(ValueError):
+            Layer.concat([two, one])
 
     def test_n_over_255_rejected(self):
-        # FSState validation forbids building a (2^299)-cell table, so
-        # exercise the guard at the metadata-adoption seam directly.
-        store = PackedFrontier()
+        # Chains are one byte per variable.  FSState validation forbids
+        # building a (2^299)-cell table, so build the columns directly.
         with pytest.raises(ValueError, match="255"):
-            store._adopt_meta("full", 300, 2, 1, 0, 1, 4)
+            Layer(n=300, num_terminals=2, num_roots=1, base_mask=0,
+                  masks=[1], costs=[1], pis=[[0]])
 
-    def test_node_tracking_side_list(self):
-        store = PackedFrontier()
-        nodes = {2: (0, 1, 0)}
-        store.put(0b1, make_state(0b1, (0,), 1, [0, 1, 2, 2], nodes=nodes))
-        assert store.get(0b1).nodes == nodes
-        assert store.ship_slice([0b1]) is None
-        assert store.checkpoint_payload() is None
+    @pytest.mark.parametrize("maximum,dtype", [
+        (0, np.uint8), (255, np.uint8), (256, np.uint16),
+        (65535, np.uint16), (65536, np.uint32), (2**32, np.int64),
+    ])
+    def test_table_dtype_is_narrowest(self, maximum, dtype):
+        assert narrowest_table_dtype(maximum) == dtype
+        base = make_state(0, (), 0, list(range(4)))
+        layer = Layer.from_entries(
+            base, [1], [make_state(1, (0,), 1, [maximum, 0])])
+        assert layer.tables.dtype == dtype
+        assert int(layer.get(1).table[0]) == maximum
 
-    def test_ship_slice_and_absorb_round_trip(self):
-        src = PackedFrontier()
-        states = {}
-        for m in (0b001, 0b010, 0b100):
-            states[m] = make_state(m, (m.bit_length() - 1,), m, [m, 0, 5, 1])
-            src.put(m, states[m])
-        blob = src.ship_slice([0b100, 0b001])
-        assert blob.count == 2
-        assert blob.nbytes == (len(blob.masks) + len(blob.mincosts)
-                               + len(blob.pis) + len(blob.tables))
-        dst = PackedFrontier()
-        dst.absorb({}, blob)
-        assert dst.masks() == [0b100, 0b001]
-        for m in (0b100, 0b001):
-            np.testing.assert_array_equal(dst.get(m).table, states[m].table)
-        # Absorbing a narrower slice into a wider store re-encodes it.
-        dst.put(0b010, make_state(0b010, (1,), 9, [0, 70000, 0, 0]))
-        np.testing.assert_array_equal(dst.get(0b001).table, states[0b001].table)
+    def test_negative_cells_rejected(self):
+        base = make_state(0, (), 0, list(range(4)))
+        with pytest.raises(ValueError, match="non-negative"):
+            Layer.from_entries(base, [1], [make_state(1, (0,), 1, [-1, 0])])
 
-    def test_base_overlay_joins_base_and_slice(self):
-        base = make_state(0, (), 0, list(range(64)))
-        inner = PackedFrontier()
-        inner.put(0b1, make_state(0b1, (0,), 1, list(range(32))))
-        view = BaseOverlay(base, inner)
-        assert view.get(0) is base
-        np.testing.assert_array_equal(view.get(0b1).table, np.arange(32))
-        assert view.get(0b10) is None
+    def test_take_concat_and_pickle(self):
+        # What the process backend ships: a row subset, pickled.
+        base = make_state(0, (), 0, list(range(8)))
+        layer = Layer.from_entries(
+            base, [1, 2, 4], [make_state(m, (m.bit_length() - 1,), m,
+                                         [m, 0, 1, 300]) for m in (1, 2, 4)])
+        part = layer.take([4, 1])
+        assert part.masks.tolist() == [4, 1]
+        assert part.tables.dtype == np.uint16
+        np.testing.assert_array_equal(part.get(1).table, [1, 0, 1, 300])
+        shipped = pickle.loads(pickle.dumps(part))
+        assert shipped.masks.tolist() == [4, 1]
+        np.testing.assert_array_equal(shipped.get(4).table, [4, 0, 1, 300])
+        merged = Layer.concat([shipped, layer.take([2])])
+        assert merged.masks.tolist() == [4, 1, 2]
+        assert merged.nbytes() == layer.nbytes()
 
-
-class TestCodec:
-    @pytest.mark.parametrize("bits", [1, 7, 8, 9, 16, 33])
-    def test_encode_decode_exact(self, bits):
-        rng = np.random.default_rng(bits)
-        values = rng.integers(0, 1 << bits, size=37, dtype=np.int64)
-        blob = _encode_cells(values, bits)
-        assert len(blob) == _row_bytes(37, bits)
-        np.testing.assert_array_equal(
-            _decode_cells(blob, bits, 37), values
-        )
-
-    def test_stdlib_codec_matches_numpy(self, monkeypatch):
-        values = np.array([0, 1, 511, 300, 7, 255], dtype=np.int64)
-        numpy_blob = _encode_cells(values, 9)
-        monkeypatch.setattr(frontier_module, "_USE_NUMPY", False)
-        stdlib_blob = _encode_cells(values, 9)
-        assert stdlib_blob == numpy_blob
-        decoded = _decode_cells(stdlib_blob, 9, len(values))
-        np.testing.assert_array_equal(np.asarray(decoded), values)
-
-    def test_stdlib_store_full_run_parity(self, monkeypatch):
-        table = TruthTable.random(6, seed=11)
-        want = run_fs(table, frontier_store="dict")
-        monkeypatch.setattr(frontier_module, "_USE_NUMPY", False)
-        got = run_fs(table, frontier_store="packed")
-        assert (got.order, got.mincost) == (want.order, want.mincost)
-        assert got.counters == want.counters
+    def test_get_widens_to_spec_kernel_tables(self, monkeypatch):
+        # Under the python kernel the layers hold compact_python's own
+        # tables; get() must hand back exactly those values, as int64.
+        table = TruthTable.random(6, seed=8)
+        base = initial_state(table)
+        layers = record_layers(monkeypatch)
+        run_layered_sweep(base, 0b111111,
+                          config=EngineConfig(kernel="python"))
+        assert len(layers) == 6
+        for layer in layers:
+            for mask, entry in layer.items():
+                want = base
+                for var in entry.pi:
+                    want = compact_python(want, var)
+                got = layer.get(mask)
+                assert got.table.dtype == np.int64
+                np.testing.assert_array_equal(got.table, want.table)
+                assert got.mincost == want.mincost
 
 
 # ----------------------------------------------------------------------
-# byte accounting
+# byte accounting and dtype across the execution axes
 # ----------------------------------------------------------------------
 
 class TestByteAccounting:
     def test_packed_nbytes_is_exact(self):
-        store = PackedFrontier()
-        # Four 8-cell tables whose max value is 300 -> 9 bits per cell,
-        # ceil(8 * 9 / 8) = 9 table bytes per entry; masks and mincosts
-        # are 8 bytes each and the chain is one byte per placed variable.
-        for m in (0b0011, 0b0101, 0b0110, 0b1010):
-            store.put(m, make_state(m, tuple(range(2)), 1,
-                                    [300, 0, 1, 2, 3, 4, 5, 6]))
-        expected = 4 * (8 + 8 + 2 + 9)
-        assert store.nbytes() == expected
-        # frontier_nbytes delegates to the store's exact figure.
-        assert frontier_nbytes(store) == expected
+        base = make_state(0, (), 0, list(range(16)))
+        # Four 8-cell tables whose max is 300: uint16 cells, 16 bytes a
+        # row; masks and costs are int64, chains one byte per variable.
+        states = [make_state(m, (0,), 1, [300, 0, 1, 2, 3, 4, 5, 6])
+                  for m in (1, 2, 4, 8)]
+        layer = Layer.from_entries(base, [1, 2, 4, 8], states)
+        assert layer.tables.dtype == np.uint16
+        assert layer.nbytes() == 4 * (8 + 8 + 1 + 16) == sum(
+            column.nbytes for column in
+            (layer.masks, layer.costs, layer.pis, layer.tables))
+        skeleton = Layer.from_entries(
+            base, [1, 2], [Skeleton(pi=(0,), mincost=1)] * 2)
+        assert skeleton.nbytes() == 2 * (8 + 8 + 1)
 
-    def test_dict_nbytes_is_documented_estimate(self):
-        entries = {
-            0b01: make_state(0b01, (0,), 1, [0, 1, 2, 3]),
-            0b10: make_state(0b10, (1,), 1, [3, 2, 1, 0]),
-        }
-        store = DictFrontier()
-        store.extend(entries)
-        expected = sum(
-            e.table.nbytes + STATE_OVERHEAD_BYTES for e in entries.values()
-        )
-        assert store.nbytes() == expected
-        assert frontier_nbytes(store) == expected
-        assert frontier_nbytes(entries) == expected
-
-    def test_packed_beats_dict_several_fold_in_a_real_sweep(self):
-        from repro.observability import Profiler
-
-        table = TruthTable.random(10, seed=5)
-        peaks = {}
-        for store in ("dict", "packed"):
-            profiler = Profiler()
-            run_fs(table, frontier_store=store, profiler=profiler)
-            peaks[store] = profiler.peak_frontier_bytes
-        assert peaks["packed"] * 2 <= peaks["dict"]
+    def test_layer_dtype_is_backend_and_jobs_independent(
+            self, monkeypatch, process_pool):
+        # Four outputs over nine variables: node ids pass 255, so the
+        # wider layers need uint16 cells.
+        tables = [TruthTable.random(9, seed=s) for s in range(4)]
+        seen = {}
+        for backend, jobs in (("serial", 1), ("serial", 4), ("thread", 1),
+                              ("thread", 4), (process_pool, 1),
+                              (process_pool, 4)):
+            layers = record_layers(monkeypatch)
+            run_fs_shared(tables, backend=backend, jobs=jobs)
+            monkeypatch.undo()
+            for layer in layers:
+                assert layer.tables.dtype == narrowest_table_dtype(
+                    int(layer.tables.max()))
+            name = getattr(backend, "name", backend)
+            seen[(name, jobs)] = [(len(l), l.tables.dtype, l.nbytes())
+                                  for l in layers]
+        reference = seen[("serial", 1)]
+        assert {dt for _, dt, _ in reference} >= {np.dtype(np.uint16)}
+        assert all(layers == reference for layers in seen.values())
 
     def test_budget_abort_layer_is_backend_independent(self, process_pool):
         table = TruthTable.random(7, seed=3)
@@ -314,7 +304,6 @@ class TestByteAccounting:
                               (process_pool, 4)):
             with pytest.raises(BudgetExceeded) as info:
                 run_fs(table, backend=backend, jobs=jobs,
-                       frontier_store="packed",
                        budget=Budget(max_frontier_bytes=600))
             aborts.append(
                 (info.value.reason, info.value.layers_completed,
@@ -322,79 +311,6 @@ class TestByteAccounting:
             )
         assert aborts[0][0] == "frontier_bytes"
         assert aborts.count(aborts[0]) == len(aborts)
-
-
-# ----------------------------------------------------------------------
-# bit-identical parity matrix: store x kernel x backend x jobs x policy
-# ----------------------------------------------------------------------
-
-class TestParityMatrix:
-    TABLE = TruthTable.random(6, seed=13)
-
-    _REFERENCES = {}
-
-    @classmethod
-    def reference(cls, frontier):
-        """Dict-store serial jobs=1 baseline, per frontier policy."""
-        if frontier not in cls._REFERENCES:
-            counters = OperationCounters()
-            result = run_fs(cls.TABLE, frontier=frontier, counters=counters,
-                            frontier_store="dict", backend="serial", jobs=1)
-            cls._REFERENCES[frontier] = (
-                result.order, result.mincost, paper_counters(counters)
-            )
-        return cls._REFERENCES[frontier]
-
-    @pytest.mark.parametrize("frontier", ["full", "mincost"])
-    @pytest.mark.parametrize("spec", [
-        ("serial", 1), ("thread", 1), ("thread", 4), ("process", 4),
-    ], ids=lambda s: f"{s[0]}-j{s[1]}")
-    def test_packed_matches_dict_reference(self, spec, frontier,
-                                           process_pool):
-        backend, jobs = spec
-        if backend == "process":
-            backend = process_pool
-        counters = OperationCounters()
-        result = run_fs(self.TABLE, frontier=frontier, counters=counters,
-                        frontier_store="packed", backend=backend, jobs=jobs)
-        order, mincost, snap = self.reference(frontier)
-        assert result.order == order
-        assert result.mincost == mincost
-        assert paper_counters(counters) == snap
-
-    @pytest.mark.parametrize("rule", [ReductionRule.BDD, ReductionRule.ZDD,
-                                      ReductionRule.CBDD])
-    def test_python_kernel_parity_per_rule(self, rule):
-        results = {}
-        for store in ("dict", "packed"):
-            for engine in ("numpy", "python"):
-                counters = OperationCounters()
-                result = run_fs(self.TABLE, rule=rule, engine=engine,
-                                frontier_store=store, counters=counters)
-                results[(store, engine)] = (
-                    result.order, result.mincost, counters.snapshot()
-                )
-        assert len(set(map(str, results.values()))) == 1
-
-    def test_shared_and_constrained_parity(self):
-        tables = [TruthTable.random(5, seed=s) for s in (1, 2)]
-        for store in ("dict", "packed"):
-            shared = run_fs_shared(tables, frontier_store=store)
-            assert shared.mincost == run_fs_shared(tables).mincost
-            assert shared.order == run_fs_shared(tables).order
-        precedence = [(0, 3)]
-        want = run_fs_constrained(self.TABLE, precedence)
-        got = run_fs_constrained(self.TABLE, precedence,
-                                 frontier_store="packed")
-        assert (got.order, got.mincost) == (want.order, want.mincost)
-        assert got.counters == want.counters
-
-    def test_solve_front_door_accepts_store(self):
-        from repro import solve
-
-        a = solve(self.TABLE, frontier_store="dict")
-        b = solve(self.TABLE, frontier_store="packed")
-        assert (a.order, a.mincost) == (b.order, b.mincost)
 
 
 # ----------------------------------------------------------------------
@@ -417,106 +333,62 @@ def spy_on_compact_layer(monkeypatch):
 
 
 class TestFusedLayerKernel:
-    def test_declines_node_tracking(self, monkeypatch):
-        # Node structure is only built by the per-candidate loop.
-        from repro.core import initial_state
-        from repro.core.engine import run_layered_sweep
-
+    def test_declines_node_tracking(self):
+        # Sweeps never build node structure; diagrams are rebuilt from
+        # the returned order (repro.core.reconstruct.build_diagram).
         table = TruthTable.random(4, seed=2)
-        want = run_fs(table).mincost
-        calls = spy_on_compact_layer(monkeypatch)
-        for store in ("dict", "packed"):
-            outcome = run_layered_sweep(
-                initial_state(table, track_nodes=True), 0b1111,
-                config=EngineConfig(frontier_store=store),
-            )
-            assert calls == []
-            (state,) = outcome.frontier.values()
-            assert state.nodes is not None
-            assert state.mincost == want
+        for kernel in ("numpy", "python"):
+            with pytest.raises(ValueError, match="node structure"):
+                run_layered_sweep(
+                    initial_state(table, track_nodes=True), 0b1111,
+                    config=EngineConfig(kernel=kernel),
+                )
 
     def test_python_kernel_never_uses_fused_path(self, monkeypatch):
         # The fused path restates the numpy compact(); the python kernel
         # must keep running its executable-specification scalar loop.
         calls = spy_on_compact_layer(monkeypatch)
-        for store in ("dict", "packed"):
-            run_fs(TruthTable.random(4, seed=2), engine="python",
-                   frontier_store=store)
+        run_fs(TruthTable.random(4, seed=2), engine="python")
         assert calls == []
 
-    @pytest.mark.parametrize("store", ["dict", "packed"])
-    def test_numpy_kernel_takes_fused_path(self, monkeypatch, store):
+    def test_numpy_kernel_takes_fused_path(self, monkeypatch):
         calls = spy_on_compact_layer(monkeypatch)
-        run_fs(TruthTable.random(4, seed=2), engine="numpy",
-               frontier_store=store)
+        run_fs(TruthTable.random(4, seed=2), engine="numpy")
         assert len(calls) == 4  # one chunk per layer at jobs=1
 
 
 # ----------------------------------------------------------------------
-# checkpoint round-trips, including cross-format resume
+# checkpoint round-trips
 # ----------------------------------------------------------------------
 
 class TestCheckpointRoundTrip:
     TABLE = TruthTable.random(6, seed=21)
 
-    def crash_then_resume(self, tmp_path, save_store, resume_store, k=3):
+    def test_packed_to_packed(self, tmp_path):
+        # A layer written as columns resumes bit-identically.
         clean = run_fs(self.TABLE, counters=OperationCounters())
-        ckpt = tmp_path / f"{save_store}-to-{resume_store}"
         with pytest.raises(InjectedFault):
             run_fs(self.TABLE, counters=OperationCounters(),
-                   frontier_store=save_store, checkpoint_dir=str(ckpt),
-                   fault_injector=FaultInjector(kill_after_layer=k))
+                   checkpoint_dir=str(tmp_path),
+                   fault_injector=FaultInjector(kill_after_layer=3))
         resumed = run_fs(self.TABLE, counters=OperationCounters(),
-                         frontier_store=resume_store,
-                         checkpoint_dir=str(ckpt), resume=True)
+                         checkpoint_dir=str(tmp_path), resume=True)
         assert resumed.order == clean.order
         assert resumed.mincost == clean.mincost
         assert resumed.counters == clean.counters
 
-    def test_packed_to_packed(self, tmp_path):
-        self.crash_then_resume(tmp_path, "packed", "packed")
-
-    def test_dict_checkpoint_resumes_under_packed(self, tmp_path):
-        # Old-format checkpoints (per-entry "entries" payload) must load
-        # under the packed store: the fingerprint excludes the store.
-        self.crash_then_resume(tmp_path, "dict", "packed")
-
-    def test_packed_checkpoint_resumes_under_dict(self, tmp_path):
-        self.crash_then_resume(tmp_path, "packed", "dict")
-
     def test_packed_checkpoint_uses_column_payload(self, tmp_path):
-        import json
-
         ckpt = tmp_path / "cols"
-        run_fs(self.TABLE, frontier_store="packed",
-               checkpoint_dir=str(ckpt))
+        run_fs(self.TABLE, checkpoint_dir=str(ckpt))
         files = sorted(ckpt.glob("ckpt_*_layer_*.json"))
-        assert files
-        with open(files[0]) as handle:
+        assert len(files) == 6
+        with open(files[2]) as handle:
             payload = json.load(handle)["payload"]
-        assert "entries_packed" in payload
+        blob = payload["frontier"]
         assert "entries" not in payload
-        assert payload["entries_packed"]["count"] > 0
-
-    def test_payload_integrity_guard(self):
-        store = PackedFrontier()
-        store.put(0b1, make_state(0b1, (0,), 1, [0, 1, 2, 3]))
-        payload = store.checkpoint_payload()
-        decoded = PackedFrontier.decode_checkpoint_payload(payload)
-        np.testing.assert_array_equal(
-            decoded[0b1].table, store.get(0b1).table
-        )
-        tampered = dict(payload, mask_popcount=payload["mask_popcount"] + 1)
-        with pytest.raises(ValueError, match="popcount"):
-            PackedFrontier.decode_checkpoint_payload(tampered)
-        with pytest.raises(ValueError, match="entries"):
-            PackedFrontier.decode_checkpoint_payload(
-                dict(payload, count=99)
-            )
-        with pytest.raises(ValueError, match="width"):
-            PackedFrontier.decode_checkpoint_payload(
-                dict(payload, bits=0)
-            )
+        assert blob["count"] == 20 and blob["pi_len"] == 3
+        assert blob["cells"] == 8
+        assert len(blob["columns"]) == len(blob["dtypes"]) == 4
 
     def test_skeleton_layers_checkpoint_packed(self, tmp_path):
         ckpt = tmp_path / "skel"
@@ -524,27 +396,26 @@ class TestCheckpointRoundTrip:
                        frontier="mincost")
         with pytest.raises(InjectedFault):
             run_fs(self.TABLE, counters=OperationCounters(),
-                   frontier="mincost", frontier_store="packed",
-                   checkpoint_dir=str(ckpt),
+                   frontier="mincost", checkpoint_dir=str(ckpt),
                    fault_injector=FaultInjector(kill_after_layer=4))
+        layer4 = sorted(ckpt.glob("ckpt_*_layer_0004.json"))[0]
+        blob = json.loads(layer4.read_text())["payload"]["frontier"]
+        assert blob["cells"] is None and len(blob["columns"]) == 3
         resumed = run_fs(self.TABLE, counters=OperationCounters(),
-                         frontier="mincost", frontier_store="packed",
-                         checkpoint_dir=str(ckpt), resume=True)
+                         frontier="mincost", checkpoint_dir=str(ckpt),
+                         resume=True)
         assert resumed.order == clean.order
         assert resumed.counters == clean.counters
 
+    def test_payload_integrity_guard(self, tmp_path):
+        from repro.core.checkpoint import read_checked_json, write_checked_json
+        from repro.errors import CheckpointError
 
-# ----------------------------------------------------------------------
-# store-aware shipping (process backend transport accounting)
-# ----------------------------------------------------------------------
-
-class TestShipping:
-    def test_packed_store_shrinks_bytes_shipped(self, process_pool):
-        table = TruthTable.random(7, seed=9)
-        shipped = {}
-        for store in ("dict", "packed"):
-            counters = OperationCounters()
-            run_fs(table, backend=process_pool, jobs=4,
-                   frontier_store=store, counters=counters)
-            shipped[store] = counters.snapshot()["bytes_shipped"]
-        assert 0 < shipped["packed"] * 2 <= shipped["dict"]
+        run_fs(self.TABLE, checkpoint_dir=str(tmp_path))
+        newest = sorted(tmp_path.glob("ckpt_*_layer_*.json"))[-1]
+        payload = read_checked_json(str(newest))
+        payload["frontier"]["count"] += 1
+        write_checked_json(str(newest), payload)
+        with pytest.raises(CheckpointError, match="layer") as info:
+            run_fs(self.TABLE, checkpoint_dir=str(tmp_path), resume=True)
+        assert str(newest) in str(info.value)

@@ -148,14 +148,6 @@ def test_run_fs_is_optimal_and_rebuilds(case):
     assert rebuilt_size(table, rule, result.order) == result.mincost
 
 
-@given(rule_and_table(), st.sampled_from(["dict", "packed"]))
-@common
-def test_frontier_store_does_not_change_fused_result(case, store):
-    rule, table = case
-    fused, spec = solve_both(run_fs, table, rule=rule, frontier_store=store)
-    assert_same_result(fused, spec)
-
-
 # ----------------------------------------------------------------------
 # multi-root, constrained, window, fs_star
 # ----------------------------------------------------------------------

@@ -116,21 +116,19 @@ class TestKillEveryLayer:
 
 
 class TestKillMatrix:
-    """Store x policy x jobs cells at one fixed kill site."""
+    """Policy x jobs cells at one fixed kill site."""
 
-    @pytest.mark.parametrize("store", ["dict", "packed"])
     @pytest.mark.parametrize(
         "policy", [FrontierPolicy.FULL, FrontierPolicy.MINCOST_ONLY]
     )
-    def test_store_policy_cells(self, healing_pool, store, policy):
-        base = serial_baseline(frontier=policy, frontier_store=store)
+    def test_policy_cells(self, healing_pool, policy):
+        base = serial_baseline(frontier=policy)
         fi = injector(2, phase="during")
         result = run_fs(
             TABLE,
             jobs=4,
             backend=healing_pool,
             frontier=policy,
-            frontier_store=store,
             fault_injector=fi,
         )
         assert fi.worker_kills_injected == 1

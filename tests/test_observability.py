@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.observability` (profiler + frontier accounting)."""
+"""Tests for :mod:`repro.observability` (the profiler)."""
 
 import json
 
@@ -6,31 +6,8 @@ import pytest
 
 from repro.analysis.counters import OperationCounters
 from repro.core import run_fs, run_fs_shared
-from repro.core.fs import initial_state
-from repro.observability import (
-    STATE_OVERHEAD_BYTES,
-    LayerProfile,
-    Profiler,
-    frontier_nbytes,
-)
+from repro.observability import LayerProfile, Profiler
 from repro.truth_table import TruthTable
-
-
-class TestFrontierNbytes:
-    def test_counts_table_payload_plus_overhead(self):
-        tt = TruthTable.random(4, seed=1)
-        state = initial_state(tt)
-        frontier = {0: state}
-        expected = state.table.nbytes + STATE_OVERHEAD_BYTES
-        assert frontier_nbytes(frontier) == expected
-
-    def test_skeleton_entries_cost_overhead_only(self):
-        class Skeleton:
-            table = None
-
-        assert frontier_nbytes({0: Skeleton(), 1: Skeleton()}) == (
-            2 * STATE_OVERHEAD_BYTES
-        )
 
 
 class TestProfiler:

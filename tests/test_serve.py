@@ -349,19 +349,36 @@ class TestSigtermDrain:
         host, port = address.rsplit(":", 1)
         return proc, (host, int(port))
 
+    @staticmethod
+    def _await_health(probe, ready):
+        """Poll the ``health`` op on ``probe``, a second connection opened
+        before any signal (a draining server accepts no new ones), until
+        ``ready(health)`` holds — a state trigger, not a timer."""
+        while True:
+            probe.write(b'{"op": "health"}\n')
+            probe.flush()
+            if ready(json.loads(probe.readline())["health"]):
+                return
+            time.sleep(0.01)
+
     def test_sigterm_during_load_drains_and_exits_zero(self):
-        slow = TruthTable.random(12, seed=80)
+        # n=15 runs for seconds, so the solve is still in flight when
+        # the signal lands.
+        slow = TruthTable.random(15, seed=80)
         expected = solve(slow)
         proc, address = self._spawn()
         try:
             sock = socket.create_connection(address, timeout=300)
             handle = sock.makefile("rwb")
+            probe = socket.create_connection(address, timeout=60)
+            probe_handle = probe.makefile("rwb")
             handle.write(json.dumps({
                 "op": "solve", "id": 1, "method": "fs",
                 **_values_payload(slow),
             }).encode() + b"\n")
             handle.flush()
-            time.sleep(0.3)  # let the request reach the worker
+            self._await_health(probe_handle,
+                               lambda h: h["in_flight"] == 1)
             proc.send_signal(signal.SIGTERM)
             # The in-flight solve finishes bit-identically...
             response = json.loads(handle.readline())
@@ -369,6 +386,7 @@ class TestSigtermDrain:
             assert tuple(response["result"]["order"]) == expected.order
             assert response["result"]["mincost"] == expected.mincost
             sock.close()
+            probe.close()
             # ...and the process exits cleanly.
             assert proc.wait(timeout=60) == 0
         finally:
@@ -377,21 +395,24 @@ class TestSigtermDrain:
                 proc.wait()
 
     def test_requests_after_sigterm_get_503(self):
-        # The solve must still be in flight 0.5s after it is sent; n=15
-        # takes several seconds on the numpy kernel.
+        # The solve must still be in flight after the drain flag flips;
+        # n=15 runs for seconds.
         slow = TruthTable.random(15, seed=81)
         proc, address = self._spawn()
         try:
             sock = socket.create_connection(address, timeout=300)
             handle = sock.makefile("rwb")
+            probe = socket.create_connection(address, timeout=60)
+            probe_handle = probe.makefile("rwb")
             handle.write(json.dumps({
                 "op": "solve", "id": 1, "method": "fs",
                 **_values_payload(slow),
             }).encode() + b"\n")
             handle.flush()
-            time.sleep(0.3)
+            self._await_health(probe_handle,
+                               lambda h: h["in_flight"] == 1)
             proc.send_signal(signal.SIGTERM)
-            time.sleep(0.2)  # let the drain flag flip
+            self._await_health(probe_handle, lambda h: h["draining"])
             handle.write(json.dumps({
                 "op": "solve", "id": 2, "method": "fs", "expr": "x0 & x1",
             }).encode() + b"\n")
@@ -401,6 +422,7 @@ class TestSigtermDrain:
             assert by_id[1]["ok"], by_id[1]
             assert by_id[2]["status"] == 503
             sock.close()
+            probe.close()
             assert proc.wait(timeout=60) == 0
         finally:
             if proc.poll() is None:
